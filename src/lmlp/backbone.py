@@ -231,8 +231,7 @@ class UlMlpModel:
             for dj in range(3)
         ]
         stacked = T.concat(windows, axis=-1)  # B, H, W, 9C
-        mixed = T.matmul(stacked, T.permute_last_two(self.head_conv_weight))
-        mixed = mixed + self.head_conv_bias
+        mixed = T.matmul(stacked, self.head_conv_weight, self.head_conv_bias, -1)
         return T.permute(mixed, (0, 3, 1, 2))
 
     def forward(self, x_t: Tensor, text_ids: np.ndarray, t) -> Tensor:

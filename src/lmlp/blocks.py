@@ -1,11 +1,12 @@
 """Sequence-to-sequence blocks over B x L x D token tensors.
 
 The two-branch lateralized block normalizes and transforms the token axis
-(left branch, after permuting the trailing extents) and the channel axis
-(right branch) in parallel, merges the branches, projects, and optionally
-runs a joint channel MLP. Named presets cover the full design-variant grid
-plus token-mixing, gated-MLP and self-attention baselines behind the same
-interface, so backbones can swap block families with one config key.
+(left branch, mapped along L in place) and the channel axis (right branch)
+in parallel, merges the branches, projects, and optionally runs a joint
+channel MLP. Every layer takes the axis it maps, so no block copies its
+input into a permuted layout. Named presets cover the full design-variant
+grid plus token-mixing, gated-MLP and self-attention baselines behind the
+same interface, so backbones can swap block families with one config key.
 """
 
 from __future__ import annotations
@@ -42,16 +43,18 @@ def trunc_normal(rng: np.random.Generator, shape, std: float = INIT_STD) -> np.n
 # ---------------------------------------------------------------------------
 
 class LinearLayer:
-    """y = x @ W^T + b over the trailing extent; leading extents pass through."""
+    """y = x @ W^T + b over the trailing extent (``axis=-1``), or y = W @ x + b
+    over the extent before it (``axis=-2``); every other extent passes through."""
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator,
-                 dtype=np.float64, zero_weight: bool = False):
+                 dtype=np.float64, zero_weight: bool = False, axis: int = -1):
         weight = np.zeros((out_dim, in_dim)) if zero_weight else trunc_normal(rng, (out_dim, in_dim))
         self.weight = Tensor(weight.astype(dtype), requires_grad=True)
         self.bias = Tensor(np.zeros(out_dim, dtype=dtype), requires_grad=True)
+        self.axis = axis
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.matmul(x, T.permute_last_two(self.weight)) + self.bias
+        return T.matmul(x, self.weight, self.bias, self.axis)
 
     def named_parameters(self, prefix: str = ""):
         yield prefix + "weight", self.weight
@@ -59,14 +62,18 @@ class LinearLayer:
 
 
 class LayerNorm:
-    def __init__(self, extent: int, dtype=np.float64, eps: float = 1e-6):
+    """Normalizes the extent at ``axis`` (-1: trailing, -2: the one before it)."""
+
+    def __init__(self, extent: int, dtype=np.float64, eps: float = 1e-6, axis: int = -1):
         self.extent = extent
         self.eps = eps
+        self.axis = axis
         self.gain = Tensor(np.ones(extent, dtype=dtype), requires_grad=True)
         self.bias = Tensor(np.zeros(extent, dtype=dtype), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.layer_norm(x, self.extent, self.gain, self.bias, eps=self.eps)
+        return T.layer_norm(x, self.extent, self.gain, self.bias, eps=self.eps,
+                            axis=self.axis)
 
     def named_parameters(self, prefix: str = ""):
         yield prefix + "gain", self.gain
@@ -74,12 +81,13 @@ class LayerNorm:
 
 
 class MlpLayer:
-    """Two-layer MLP with a GELU between; output extent equals input extent."""
+    """Two-layer MLP with a GELU between, over the extent at ``axis``; output
+    extent equals input extent."""
 
     def __init__(self, dim: int, hidden: int, rng: np.random.Generator,
-                 dtype=np.float64, zero_out: bool = False):
-        self.fc1 = LinearLayer(dim, hidden, rng, dtype)
-        self.fc2 = LinearLayer(hidden, dim, rng, dtype, zero_weight=zero_out)
+                 dtype=np.float64, zero_out: bool = False, axis: int = -1):
+        self.fc1 = LinearLayer(dim, hidden, rng, dtype, axis=axis)
+        self.fc2 = LinearLayer(hidden, dim, rng, dtype, zero_weight=zero_out, axis=axis)
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.fc2(T.gelu(self.fc1(x)))
@@ -95,11 +103,11 @@ def mlp_hidden(dim: int, scale: float) -> int:
 
 
 class BranchNet:
-    """Square map over the trailing extent: Linear, optionally followed by GELU."""
+    """Square map over the extent at ``axis``: Linear, optionally followed by GELU."""
 
     def __init__(self, extent: int, with_gelu: bool, rng: np.random.Generator,
-                 dtype=np.float64):
-        self.linear = LinearLayer(extent, extent, rng, dtype)
+                 dtype=np.float64, axis: int = -1):
+        self.linear = LinearLayer(extent, extent, rng, dtype, axis=axis)
         self.with_gelu = with_gelu
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -125,7 +133,7 @@ class BlockConfig:
     embed_dim: int
     kind: str = "lmlp"
     first_stage: str = "linear"
-    left_activation: str = "none"     # gelu applies to the permuted branch only
+    left_activation: str = "none"     # gelu applies to the token (left) branch only
     merge_op: str = "sum"
     merge_projection: str = "linear"
     second_stage: str = "mlp"
@@ -200,8 +208,9 @@ def _check_tokens(x: Tensor, cfg: BlockConfig) -> None:
 
 
 class LmlpBlock:
-    """Two-branch block: permute, normalize per branch, square-map each branch,
-    merge, project, residual, then an optional joint channel MLP."""
+    """Two-branch block: normalize and square-map the token axis (left) and the
+    channel axis (right), merge, project, residual, then an optional joint
+    channel MLP."""
 
     def __init__(self, cfg: BlockConfig, rng: np.random.Generator, dtype=np.float64):
         cfg.validate()
@@ -209,10 +218,10 @@ class LmlpBlock:
         gelu_everywhere = cfg.first_stage == "one_layer_mlp"
         self.cfg = cfg
         self.norm_r = LayerNorm(dim, dtype)
-        self.norm_l = LayerNorm(seq, dtype)
+        self.norm_l = LayerNorm(seq, dtype, axis=-2)
         self.fnn_r = BranchNet(dim, gelu_everywhere, rng, dtype)
         self.fnn_l = BranchNet(seq, gelu_everywhere or cfg.left_activation == "gelu",
-                               rng, dtype)
+                               rng, dtype, axis=-2)
         if cfg.merge_projection == "linear":
             # Zero weight so a fresh block is the identity map.
             self.merge_proj = LinearLayer(dim, dim, rng, dtype, zero_weight=True)
@@ -231,9 +240,8 @@ class LmlpBlock:
         _check_tokens(x, self.cfg)
         if skip is not None and skip_stage == "first_stage":
             x = x + skip
-        permuted = T.permute_last_two(x)
         r = self.fnn_r(self.norm_r(x))
-        left = T.permute_last_two(self.fnn_l(self.norm_l(permuted)))
+        left = self.fnn_l(self.norm_l(x))
         if self.cfg.merge_op == "sum":
             merged = left + r
         elif self.cfg.merge_op == "product":
@@ -329,7 +337,7 @@ class MixerBlock:
         seq, dim = cfg.seq_len, cfg.embed_dim
         self.cfg = cfg
         self.norm_1 = LayerNorm(dim, dtype)
-        self.token_mlp = MlpLayer(seq, seq, rng, dtype)
+        self.token_mlp = MlpLayer(seq, seq, rng, dtype, axis=-2)
         self.norm_2 = LayerNorm(dim, dtype)
         self.channel_mlp = MlpLayer(dim, mlp_hidden(dim, cfg.mlp_scale), rng, dtype)
 
@@ -338,8 +346,7 @@ class MixerBlock:
         _check_tokens(x, self.cfg)
         if skip is not None and skip_stage == "first_stage":
             x = x + skip
-        mixed = T.permute_last_two(self.token_mlp(T.permute_last_two(self.norm_1(x))))
-        h = x + mixed
+        h = x + self.token_mlp(self.norm_1(x))
         if skip is not None and skip_stage == "second_stage":
             h = h + skip
         return h + self.channel_mlp(self.norm_2(h))
@@ -369,7 +376,7 @@ class GmlpBlock:
         self.norm_in = LayerNorm(dim, dtype)
         self.proj_in = LinearLayer(dim, 2 * hidden, rng, dtype)
         self.norm_gate = LayerNorm(hidden, dtype)
-        self.spatial = LinearLayer(seq, seq, rng, dtype)
+        self.spatial = LinearLayer(seq, seq, rng, dtype, axis=-2)
         self.proj_out = LinearLayer(hidden, dim, rng, dtype)
 
     def forward(self, x: Tensor, skip: Tensor | None = None,
@@ -380,8 +387,7 @@ class GmlpBlock:
         expanded = T.gelu(self.proj_in(self.norm_in(x)))
         u = T.narrow(expanded, -1, 0, self.hidden)
         v = self.norm_gate(T.narrow(expanded, -1, self.hidden, self.hidden))
-        v = T.permute_last_two(self.spatial(T.permute_last_two(v)))
-        out = x + self.proj_out(u * v)
+        out = x + self.proj_out(u * self.spatial(v))
         if skip is not None and skip_stage == "second_stage":
             out = out + skip
         return out

@@ -15,12 +15,16 @@ Layout (all integers little-endian):
             second-moment data (shapes match the parameter)
 
 Parameters are stored as 32-bit floats, so checkpointed models are built
-with dtype float32 and round-trip bitwise.
+with dtype float32 and round-trip bitwise. A checkpoint is written to a
+temporary file next to its path and renamed into place, so a write that
+fails part-way leaves any earlier file at that path as it was.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,8 +53,22 @@ class Checkpoint:
     opt_exp_avg_sq: list[np.ndarray] | None
 
 
-def _write_array(chunks: list[bytes], arr: np.ndarray) -> None:
-    chunks.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+@contextmanager
+def atomic_open(path):
+    """Binary file handle on a temporary file next to ``path``; it replaces
+    ``path`` only when the block finishes, and is removed if the block raises."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as out:
+            yield out
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _write_array(out, arr: np.ndarray) -> None:
+    out.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
 def save_checkpoint(path, config: RunConfig, model: UlMlpModel, step: int,
@@ -58,31 +76,26 @@ def save_checkpoint(path, config: RunConfig, model: UlMlpModel, step: int,
     if model.dtype != np.float32:
         raise UsageError("checkpoints store 32-bit values; build the model with float32")
     named = list(model.named_parameters())
-    chunks: list[bytes] = [MAGIC, struct.pack("<I", VERSION)]
+    if optimizer is not None and optimizer.names != [name for name, _ in named]:
+        raise UsageError("optimizer does not track the model's parameter list")
     config_bytes = serialize_config(config).encode()
-    chunks.append(struct.pack("<I", len(config_bytes)))
-    chunks.append(config_bytes)
-    chunks.append(struct.pack("<Q", step))
-    chunks.append(struct.pack("<I", len(named)))
-    for name, param in named:
-        name_bytes = name.encode()
-        chunks.append(struct.pack("<I", len(name_bytes)))
-        chunks.append(name_bytes)
-        chunks.append(struct.pack("<I", param.ndim))
-        chunks.append(struct.pack(f"<{param.ndim}I", *param.shape))
-        _write_array(chunks, param.data)
-    if optimizer is None:
-        chunks.append(struct.pack("<B", 0))
-    else:
-        if optimizer.names != [name for name, _ in named]:
-            raise UsageError("optimizer does not track the model's parameter list")
-        chunks.append(struct.pack("<B", 1))
-        opt_step, exp_avg, exp_avg_sq = optimizer.state_arrays()
-        chunks.append(struct.pack("<Q", opt_step))
-        for m, v in zip(exp_avg, exp_avg_sq):
-            _write_array(chunks, m)
-            _write_array(chunks, v)
-    Path(path).write_bytes(b"".join(chunks))
+    with atomic_open(path) as out:
+        out.write(MAGIC + struct.pack("<I", VERSION))
+        out.write(struct.pack("<I", len(config_bytes)) + config_bytes)
+        out.write(struct.pack("<QI", step, len(named)))
+        for name, param in named:
+            name_bytes = name.encode()
+            out.write(struct.pack("<I", len(name_bytes)) + name_bytes)
+            out.write(struct.pack(f"<I{param.ndim}I", param.ndim, *param.shape))
+            _write_array(out, param.data)
+        if optimizer is None:
+            out.write(struct.pack("<B", 0))
+        else:
+            opt_step, exp_avg, exp_avg_sq = optimizer.state_arrays()
+            out.write(struct.pack("<BQ", 1, opt_step))
+            for m, v in zip(exp_avg, exp_avg_sq):
+                _write_array(out, m)
+                _write_array(out, v)
 
 
 class _Reader:
@@ -174,6 +187,7 @@ __all__ = [
     "CheckpointError",
     "MAGIC",
     "VERSION",
+    "atomic_open",
     "load_checkpoint",
     "restore_model",
     "restore_optimizer",

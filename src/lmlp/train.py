@@ -4,7 +4,8 @@ Every optimizer step derives its own generator from (seed, step), so a run
 resumed from a checkpoint at step n continues with exactly the randomness
 the uninterrupted run would have used; combined with the bitwise parameter
 and moment round-trip of the checkpoint format, the loss log continues
-identically.
+identically. A run drops the log rows of the steps it runs again, so a run
+resumed (or restarted) over an earlier log writes each step once.
 """
 
 from __future__ import annotations
@@ -16,7 +17,13 @@ import numpy as np
 
 from . import tensor as T
 from .backbone import build_model
-from .checkpoint import load_checkpoint, restore_model, restore_optimizer, save_checkpoint
+from .checkpoint import (
+    atomic_open,
+    load_checkpoint,
+    restore_model,
+    restore_optimizer,
+    save_checkpoint,
+)
 from .config import RunConfig
 from .dataset import generate_arrays
 from .diffusion import training_loss
@@ -35,6 +42,16 @@ class TrainResult:
 
 def checkpoint_name(step: int) -> str:
     return f"checkpoint_{step:06d}.lmlp"
+
+
+def _truncate_log(log_path: Path, step: int) -> None:
+    """Keep the header and the complete rows of steps before ``step``."""
+    lines = log_path.read_text().splitlines(keepends=True)
+    kept = [line for line in lines[1:]
+            if line.endswith("\n") and int(line.split(",", 1)[0]) < step]
+    if len(kept) < len(lines) - 1:
+        with atomic_open(log_path) as out:
+            out.write("".join(lines[:1] + kept).encode())
 
 
 def run_training(config: RunConfig, resume: str | None = None) -> TrainResult:
@@ -63,6 +80,8 @@ def run_training(config: RunConfig, resume: str | None = None) -> TrainResult:
     x0_all = (2.0 * images - 1.0).astype(np.float32)
 
     log_path = out_dir / LOG_NAME
+    if log_path.exists():
+        _truncate_log(log_path, start_step)
     new_log = not log_path.exists() or log_path.stat().st_size == 0
     losses: list[float] = []
     with open(log_path, "a") as log:

@@ -177,6 +177,76 @@ class TestForwardSemantics:
         assert np.allclose(via_skip, pre_added, atol=1e-12)
 
 
+# Reference: the same blocks written with permutes. Token-axis layers run on
+# the permuted tensor and are permuted back, and a linear layer multiplies by
+# a transposed copy of its weight.
+
+def permute_linear(layer, x):
+    return T.matmul(x, T.permute_last_two(layer.weight)) + layer.bias
+
+
+def permute_norm(norm, x):
+    return T.layer_norm(x, norm.extent, norm.gain, norm.bias, eps=norm.eps)
+
+
+def permute_mlp(mlp, x):
+    return permute_linear(mlp.fc2, T.gelu(permute_linear(mlp.fc1, x)))
+
+
+def along_tokens(fn, x):
+    return T.permute_last_two(fn(T.permute_last_two(x)))
+
+
+def permute_lmlp(block, x):
+    def branch(net, norm, x):
+        out = permute_linear(net.linear, permute_norm(norm, x))
+        return T.gelu(out) if net.with_gelu else out
+
+    r = branch(block.fnn_r, block.norm_r, x)
+    left = along_tokens(lambda t: branch(block.fnn_l, block.norm_l, t), x)
+    merged = {"sum": lambda: left + r, "product": lambda: left * r,
+              "glu": lambda: left * T.sigmoid(r)}[block.cfg.merge_op]()
+    h = x + (permute_linear(block.merge_proj, merged) if block.merge_proj else merged)
+    if block.fnn_c is None:
+        return h
+    return h + permute_mlp(block.fnn_c, permute_norm(block.norm_2, h))
+
+
+def permute_mixer(block, x):
+    h = x + along_tokens(lambda t: permute_mlp(block.token_mlp, t),
+                         permute_norm(block.norm_1, x))
+    return h + permute_mlp(block.channel_mlp, permute_norm(block.norm_2, h))
+
+
+def permute_gmlp(block, x):
+    expanded = T.gelu(permute_linear(block.proj_in, permute_norm(block.norm_in, x)))
+    u = T.narrow(expanded, -1, 0, block.hidden)
+    v = permute_norm(block.norm_gate, T.narrow(expanded, -1, block.hidden, block.hidden))
+    v = along_tokens(lambda t: permute_linear(block.spatial, t), v)
+    return x + permute_linear(block.proj_out, u * v)
+
+
+class TestPermuteFormulation:
+    @pytest.mark.parametrize("preset, reference", [(p, permute_lmlp) for p in LMLP_PRESETS]
+                             + [("A2", permute_mixer), ("A3", permute_gmlp)])
+    def test_forward_equals_permute_formulation(self, preset, reference):
+        block = small_block(preset, seed=50)
+        randomize(block, seed=51)
+        x = tokens(seed=52)
+        expected = reference(block, x).data
+        assert np.allclose(block(x).data, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("preset", ["F2", "A2", "A3"])
+    def test_blocks_record_no_permute(self, preset, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("permute called")
+
+        block = small_block(preset, seed=53)
+        monkeypatch.setattr(T, "permute", refuse)
+        monkeypatch.setattr(T, "permute_last_two", refuse)
+        block(tokens(seed=54))
+
+
 class TestGradients:
     @pytest.mark.parametrize("preset", ALL_PRESETS)
     def test_parameter_gradients_match_finite_differences(self, preset):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lmlp import tensor as T
+from lmlp import checkpoint, tensor as T
 from lmlp.backbone import build_model
 from lmlp.checkpoint import (
     CheckpointError,
@@ -133,6 +133,32 @@ class TestCheckpoint:
             assert np.array_equal(m, m2)
         for v, v2 in zip(optimizer.exp_avg_sq, opt2.exp_avg_sq):
             assert np.array_equal(v, v2)
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        config = tiny_config()
+        model, optimizer = self.build(config)
+        path = tmp_path / "model.lmlp"
+        save_checkpoint(path, config, model, step=1, optimizer=optimizer)
+        before = path.read_bytes()
+        for p in model.parameters():
+            p.data += 1.0
+        written = []
+        files_at_failure = []
+        real_write = checkpoint._write_array
+
+        def fail_on_third_array(out, arr):
+            if len(written) == 3:
+                files_at_failure.extend(sorted(f.name for f in tmp_path.iterdir()))
+                raise OSError("disk full")
+            real_write(out, arr)
+            written.append(arr.size)
+
+        monkeypatch.setattr(checkpoint, "_write_array", fail_on_third_array)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, config, model, step=2, optimizer=optimizer)
+        assert len(files_at_failure) == 2, "the write was not in progress"
+        assert path.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["model.lmlp"]
 
     def test_save_rejects_float64_models(self, tmp_path):
         config = tiny_config()

@@ -4,6 +4,7 @@ import pytest
 from helpers import check_gradients
 from lmlp import tensor as T
 from lmlp.backbone import BackboneConfig, build_model
+from lmlp.config import RunConfig
 from lmlp.diffusion import (
     GuidanceConfig,
     NoiseSchedule,
@@ -169,6 +170,19 @@ class TestTrainingLoss:
                                  np.random.default_rng(7))
 
         check_gradients(loss, params)
+
+
+    def test_desk_step_records_at_most_64_tape_entries(self):
+        """F2 at the desk defaults (depth 4, L=21, D=64): one entry per dense
+        layer, norm, activation and residual add, and no permutes."""
+        config = RunConfig()
+        model = build_model(config.backbone_config(), 0, dtype=np.float32)
+        rng = np.random.default_rng(0)
+        x0 = rng.standard_normal((2, 1, config.image_side, config.image_side))
+        ids = np.ones((2, config.text_tokens), dtype=int)
+        T.reset_tape()
+        training_loss(model, x0, ids, config.noise_schedule(), config.guidance_config(), rng)
+        assert T.tape_size() <= 64
 
 
 class TestScore:

@@ -88,6 +88,81 @@ class TestMatmul:
         check_gradients(lambda: (T.matmul(a, b) * T.matmul(a, b)).sum(), [a, b])
 
 
+def dense_params(out_dim, in_dim, seed):
+    rng = np.random.default_rng(seed)
+    return (T.Tensor(rng.standard_normal((out_dim, in_dim)), requires_grad=True),
+            T.Tensor(rng.standard_normal(out_dim), requires_grad=True))
+
+
+class TestDense:
+    SHAPES = [(5, 3), (2, 5, 3), (2, 3, 5, 3)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_channel_axis_is_x_times_w_transposed_plus_b(self, shape):
+        x = rand(shape, 60)
+        w, b = dense_params(4, shape[-1], 61)
+        out = T.matmul(x, w, b, axis=-1)
+        assert np.allclose(out.data, x.data @ w.data.T + b.data, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_token_axis_is_w_times_x_plus_b(self, shape):
+        x = rand(shape, 62)
+        w, b = dense_params(4, shape[-2], 63)
+        out = T.matmul(x, w, b, axis=-2)
+        assert np.allclose(out.data, w.data @ x.data + b.data[:, None], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("axis", [-1, -2])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_gradients_against_finite_differences(self, shape, axis):
+        x = rand(shape, 64, requires_grad=True)
+        w, b = dense_params(2, shape[axis], 65)
+        y = T.Tensor(np.random.default_rng(66).standard_normal(
+            T.matmul(x, w, b, axis).shape))
+        err = check_gradients(lambda: (T.matmul(x, w, b, axis) * y).sum()
+                              + (T.matmul(x, w, b, axis) * T.matmul(x, w, b, axis)).mean(),
+                              [x, w, b], tol=1e-6)
+        assert err <= 1e-6
+
+    @pytest.mark.parametrize("axis", [-1, -2])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_macs_are_rows_times_in_times_out(self, shape, axis):
+        x = rand(shape, 67)
+        w, b = dense_params(7, shape[axis], 68)
+        rows = x.size // shape[axis]
+        with T.count_macs() as counter:
+            T.matmul(x, w, b, axis)
+        assert counter.total == rows * shape[axis] * 7
+
+    def test_one_tape_entry_per_call(self):
+        x = rand((2, 5, 3), 69)
+        w, b = dense_params(4, 3, 70)
+        T.reset_tape()
+        T.matmul(x, w, b, axis=-1)
+        assert T.tape_size() == 1
+
+    @pytest.mark.parametrize("axis", [0, 1, -3, 2])
+    def test_bad_axis_rejected(self, axis):
+        w, b = dense_params(4, 3, 71)
+        with pytest.raises(T.ShapeError):
+            T.matmul(rand((2, 3, 3), 72), w, b, axis)
+
+    @pytest.mark.parametrize("shape, axis", [((2, 5, 4), -1), ((2, 4, 3), -2), ((3,), -2)])
+    def test_extent_mismatch_rejected(self, shape, axis):
+        w, b = dense_params(4, 3, 73)
+        with pytest.raises(T.ShapeError):
+            T.matmul(rand(shape, 74), w, b, axis)
+
+    def test_bias_extent_mismatch_rejected(self):
+        w, _ = dense_params(4, 3, 75)
+        with pytest.raises(T.ShapeError):
+            T.matmul(rand((2, 3), 76), w, T.Tensor(np.zeros(3)), -1)
+
+    def test_bias_without_axis_rejected(self):
+        w, b = dense_params(4, 3, 77)
+        with pytest.raises(T.UsageError):
+            T.matmul(rand((2, 3), 78), T.permute_last_two(w), b)
+
+
 class TestLayerNorm:
     def gains(self, n):
         return T.Tensor(np.ones(n), requires_grad=True), T.Tensor(np.zeros(n), requires_grad=True)
@@ -125,6 +200,34 @@ class TestLayerNorm:
 
         err = check_gradients(loss, [x, g, b], tol=1e-5)
         assert err <= 1e-5
+
+
+    @pytest.mark.parametrize("shape", [(8, 3), (2, 8, 3), (2, 2, 8, 3)])
+    def test_token_axis_equals_permuted_trailing_axis(self, shape):
+        x = rand(shape, 23)
+        g = T.Tensor(np.random.default_rng(24).standard_normal(8))
+        b = T.Tensor(np.random.default_rng(25).standard_normal(8))
+        along = T.layer_norm(x, 8, g, b, axis=-2)
+        permuted = T.permute_last_two(T.layer_norm(T.permute_last_two(x), 8, g, b))
+        assert np.allclose(along.data, permuted.data, rtol=0, atol=1e-12)
+
+    def test_token_axis_gradient_against_finite_differences(self):
+        x = rand((2, 8, 3), 26, requires_grad=True)
+        g = T.Tensor(np.random.default_rng(27).standard_normal(8), requires_grad=True)
+        b = T.Tensor(np.random.default_rng(28).standard_normal(8), requires_grad=True)
+
+        def loss():
+            out = T.layer_norm(x, 8, g, b, axis=-2)
+            return (out * out).sum()
+
+        err = check_gradients(loss, [x, g, b], tol=1e-5)
+        assert err <= 1e-5
+
+    @pytest.mark.parametrize("shape, axis", [((2, 8, 3), 0), ((2, 3, 8), -2), ((8,), -2)])
+    def test_bad_axis_or_extent_rejected(self, shape, axis):
+        g, b = self.gains(8)
+        with pytest.raises(T.ShapeError):
+            T.layer_norm(T.Tensor(np.zeros(shape)), 8, g, b, axis=axis)
 
 
 class TestGelu:

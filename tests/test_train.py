@@ -54,6 +54,21 @@ class TestTraining:
                                resume=half_dir / checkpoint_name(3))
         assert resumed.log_path.read_text() == full.log_path.read_text()
 
+    def test_resume_over_later_rows_truncates_the_log(self, tmp_path):
+        run_dir = tmp_path / "rerun"
+        config = tiny_config(run_dir, train_steps=5, checkpoint_every=3)
+        first = run_training(config).log_path.read_text()
+        resumed = run_training(config, resume=run_dir / checkpoint_name(3))
+        text = resumed.log_path.read_text()
+        steps = [int(line.split(",")[0]) for line in text.splitlines()[1:]]
+        assert steps == [0, 1, 2, 3, 4]
+        assert text == first
+
+    def test_rerun_into_same_directory_starts_a_new_log(self, tmp_path):
+        config = tiny_config(tmp_path / "again", train_steps=3)
+        first = run_training(config).log_path.read_text()
+        assert run_training(config).log_path.read_text() == first
+
     def test_resumed_final_weights_match_uninterrupted(self, tmp_path):
         full = run_training(tiny_config(tmp_path / "f2", train_steps=6))
         half_dir = tmp_path / "h2"
