@@ -22,6 +22,7 @@ fails part-way leaves any earlier file at that path as it was.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -31,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .backbone import UlMlpModel, build_model
-from .config import RunConfig, parse_config, serialize_config
+from .config import ConfigError, RunConfig, parse_config, serialize_config
 from .optim import AdamW
 from .tensor import UsageError
 
@@ -114,13 +115,21 @@ class _Reader:
         values = struct.unpack(fmt, self.take(struct.calcsize(fmt)))
         return values[0] if len(values) == 1 else values
 
-    def array(self, shape: tuple[int, ...]) -> np.ndarray:
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        data = np.frombuffer(self.take(4 * count), dtype="<f4")
+    def text(self, count: int, what: str) -> str:
+        try:
+            return self.take(count).decode()
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{what} is not UTF-8 text") from exc
+
+    def array(self, shape: tuple[int, ...], what: str) -> np.ndarray:
+        data = np.frombuffer(self.take(4 * math.prod(shape)), dtype="<f4")
+        if not np.isfinite(data).all():
+            raise CheckpointError(f"{what} holds a non-finite value")
         return data.reshape(shape).astype(np.float32)
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint; any malformed content raises ``CheckpointError``."""
     reader = _Reader(Path(path).read_bytes())
     if reader.take(4) != MAGIC:
         raise CheckpointError(f"{path}: bad magic bytes")
@@ -128,14 +137,19 @@ def load_checkpoint(path) -> Checkpoint:
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
     config_len = reader.unpack("<I")
-    config = parse_config(reader.take(config_len).decode())
+    try:
+        config = parse_config(reader.text(config_len, "embedded config"))
+    except ConfigError as exc:
+        raise CheckpointError(f"{path}: bad embedded config: {exc}") from exc
     step = reader.unpack("<Q")
     count = reader.unpack("<I")
     params: dict[str, np.ndarray] = {}
     shapes: list[tuple[int, ...]] = []
     for _ in range(count):
         name_len = reader.unpack("<I")
-        name = reader.take(name_len).decode()
+        name = reader.text(name_len, "parameter name")
+        if name in params:
+            raise CheckpointError(f"{path}: parameter {name!r} is stored twice")
         rank = reader.unpack("<I")
         if rank == 0:
             shape: tuple[int, ...] = ()
@@ -143,16 +157,20 @@ def load_checkpoint(path) -> Checkpoint:
             shape = (reader.unpack("<I"),)
         else:
             shape = tuple(reader.unpack(f"<{rank}I"))
-        params[name] = reader.array(shape)
+        params[name] = reader.array(shape, name)
         shapes.append(shape)
     has_opt = reader.unpack("<B")
+    if has_opt not in (0, 1):
+        raise CheckpointError(f"{path}: bad optimizer flag {has_opt}")
     opt_step = opt_avg = opt_avg_sq = None
     if has_opt:
         opt_step = reader.unpack("<Q")
         opt_avg, opt_avg_sq = [], []
-        for shape in shapes:
-            opt_avg.append(reader.array(shape))
-            opt_avg_sq.append(reader.array(shape))
+        for name, shape in zip(params, shapes):
+            opt_avg.append(reader.array(shape, f"first moment of {name}"))
+            opt_avg_sq.append(reader.array(shape, f"second moment of {name}"))
+    if reader.pos != len(reader.raw):
+        raise CheckpointError(f"{path}: {len(reader.raw) - reader.pos} trailing bytes")
     return Checkpoint(config, step, params, opt_step, opt_avg, opt_avg_sq)
 
 

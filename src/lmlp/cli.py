@@ -3,8 +3,7 @@
 Verbs: ``train``, ``sample``, ``bench``, ``inspect``, ``gen-data``. Exit
 codes: 0 success, 1 domain failure (I/O, numerical divergence, bad data),
 2 usage/config mistakes. Every failure prints a single-line diagnostic to
-stderr. ``LMLP_DETERMINISTIC=1`` (the default) keeps runs bitwise
-reproducible per seed.
+stderr.
 """
 
 from __future__ import annotations

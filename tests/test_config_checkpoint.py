@@ -187,3 +187,58 @@ class TestCheckpoint:
         (tmp_path / "cut.lmlp").write_bytes(path.read_bytes()[:100])
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "cut.lmlp")
+
+
+def _bad_utf8_config(raw, name):
+    return raw[:12] + b"\xff" + raw[13:]          # first byte of the config text
+
+
+def _bad_utf8_name(raw, name):
+    return raw.replace(name, b"\xff" + name[1:], 1)
+
+
+def _garbage_config(raw, name):
+    length = int.from_bytes(raw[8:12], "little")
+    return raw[:12] + b"?" * length + raw[12 + length:]
+
+
+def _trailing_bytes(raw, name):
+    return raw + b"\x00"
+
+
+def _non_finite_value(value):
+    def corrupt(raw, name):
+        # the first parameter's data follows its name, rank and extents
+        start = raw.index(name) + len(name)
+        rank = int.from_bytes(raw[start:start + 4], "little")
+        offset = start + 4 + 4 * rank
+        return raw[:offset] + np.float32(value).tobytes() + raw[offset + 4:]
+    return corrupt
+
+
+class TestMalformedCheckpoint:
+    @pytest.mark.parametrize("corrupt", [
+        _bad_utf8_config, _bad_utf8_name, _garbage_config, _trailing_bytes,
+        _non_finite_value(np.nan), _non_finite_value(np.inf),
+    ], ids=["bad-utf8-config", "bad-utf8-name", "garbage-config", "trailing-bytes",
+            "nan-value", "inf-value"])
+    def test_raises_checkpoint_error(self, tmp_path, corrupt):
+        config = tiny_config()
+        model = build_model(config.backbone_config(), config.seed, dtype=np.float32)
+        path = tmp_path / "m.lmlp"
+        save_checkpoint(path, config, model, 0)
+        name = next(model.named_parameters())[0].encode()
+        bad = tmp_path / "bad.lmlp"
+        bad.write_bytes(corrupt(path.read_bytes(), name))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(bad)
+
+    def test_non_finite_optimizer_moment_rejected(self, tmp_path):
+        config = tiny_config()
+        model = build_model(config.backbone_config(), config.seed, dtype=np.float32)
+        optimizer = AdamW(list(model.named_parameters()), lr=1e-3)
+        optimizer.exp_avg_sq[-1][...] = np.inf
+        path = tmp_path / "m.lmlp"
+        save_checkpoint(path, config, model, 0, optimizer=optimizer)
+        with pytest.raises(CheckpointError, match="second moment"):
+            load_checkpoint(path)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from helpers import check_gradients, fd_gradient, max_rel_error
 from lmlp import tensor as T
@@ -245,6 +246,45 @@ class TestGelu:
         x = rand((3, 5), 30, requires_grad=True)
         check_gradients(lambda: T.gelu(x).sum(), [x])
 
+    @staticmethod
+    def float32_grid():
+        """2^21 + 1 float32 points on [-12, 12] and the float64 reference there."""
+        x32 = np.linspace(-12.0, 12.0, 2 ** 21 + 1).astype(np.float32)
+        x = x32.astype(np.float64)
+        cdf = special.ndtr(x)
+        dgelu = cdf + x * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+        return x32, x, x * cdf, dgelu
+
+    def test_float32_forward_within_bound(self):
+        x32, x, gelu64, _ = self.float32_grid()
+        out = T.gelu(T.Tensor(x32)).data
+        assert out.dtype == np.float32
+        assert np.all(np.abs(out - gelu64) <= 2.0 ** -22 * np.abs(x))
+
+    def test_float32_gradient_within_bound(self):
+        x32, _, _, dgelu64 = self.float32_grid()
+        x = T.Tensor(x32, requires_grad=True)
+        T.gelu(x).sum().backward()
+        assert x.grad.dtype == np.float32
+        assert np.abs(x.grad - dgelu64).max() <= 2.0 ** -22
+
+    def test_float32_zero_and_negative_tail(self):
+        out = T.gelu(T.Tensor(np.array([0.0, -10.0], dtype=np.float32))).data
+        assert out[0] == 0.0
+        assert abs(out[1]) < 1e-8
+
+    def test_float32_path_makes_no_scipy_call(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy erf called")
+
+        monkeypatch.setattr(T.special, "erf", refuse)
+        T.gelu(T.Tensor(np.linspace(-3.0, 3.0, 7, dtype=np.float32)))
+
+    def test_float64_is_bitwise_the_erf_form(self):
+        x = rand((4, 7), 31).data * 4.0
+        expected = x * (0.5 * (1.0 + special.erf(x * (1.0 / math.sqrt(2.0)))))
+        assert np.array_equal(T.gelu(T.Tensor(x)).data, expected)
+
 
 class TestElementwise:
     def test_add(self):
@@ -306,6 +346,13 @@ class TestBackward:
         loss.backward()
         loss.backward()
         assert np.allclose(x.grad, 2.0 * np.ones(4))
+
+    def test_scalar_leaf_loss_gets_unit_grad_and_accumulates(self):
+        x = T.Tensor(np.array(3.0), requires_grad=True)
+        x.backward()
+        assert x.grad == 1.0
+        x.backward()
+        assert x.grad == 2.0
 
     def test_non_scalar_loss_rejected(self):
         x = rand((2, 2), 53, requires_grad=True)
@@ -409,11 +456,3 @@ class TestEngineInvariants:
         x = T.Tensor([1.0, 2.0, -0.5])
         fd = fd_gradient(lambda: float((x.data ** 3).sum()), x)
         assert max_rel_error(3.0 * x.data ** 2, fd) < 1e-8
-
-    def test_deterministic_mode_env_toggle(self, monkeypatch):
-        monkeypatch.delenv("LMLP_DETERMINISTIC", raising=False)
-        assert T.deterministic_mode()
-        monkeypatch.setenv("LMLP_DETERMINISTIC", "1")
-        assert T.deterministic_mode()
-        monkeypatch.setenv("LMLP_DETERMINISTIC", "0")
-        assert not T.deterministic_mode()
