@@ -13,7 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .blocks import LayerNorm, LinearLayer, make_block, preset_config, trunc_normal
+from .blocks import (
+    LayerNorm,
+    LinearLayer,
+    UnsupportedBlockError,
+    make_block,
+    preset_config,
+    trunc_normal,
+)
 from .tensor import Tensor
 
 SKIP_MODES = ("none", "first_stage", "second_stage")
@@ -21,7 +28,7 @@ HEAD_KINDS = ("linear", "conv3x3_postprocess")
 
 
 class ConfigError(ValueError):
-    """Inconsistent backbone configuration."""
+    """Malformed or inconsistent configuration; the message names the key."""
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +117,10 @@ class BackboneConfig:
             raise ConfigError("text_tokens, in_channels and vocab_size must be positive")
         if self.num_timesteps < 1:
             raise ConfigError("num_timesteps must be positive")
+        try:
+            preset_config(self.preset, self.seq_len, self.embed_dim, self.mlp_scale).validate()
+        except UnsupportedBlockError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 @dataclass

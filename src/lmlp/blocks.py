@@ -31,10 +31,14 @@ INIT_CLIP = 2.0  # in units of sigma
 def trunc_normal(rng: np.random.Generator, shape, std: float = INIT_STD) -> np.ndarray:
     """Normal(0, std^2) resampled until every draw lies within +-2 sigma."""
     out = rng.standard_normal(shape)
-    bad = np.abs(out) > INIT_CLIP
-    while bad.any():
-        out[bad] = rng.standard_normal(int(bad.sum()))
-        bad = np.abs(out) > INIT_CLIP
+    flat = out.reshape(-1)
+    # Only redrawn entries can change, so each round re-checks just those.
+    # The indices stay ascending, so draws land in the flat order a boolean
+    # mask over the whole array would give them.
+    bad = np.flatnonzero(np.abs(flat) > INIT_CLIP)
+    while bad.size:
+        flat[bad] = rng.standard_normal(bad.size)
+        bad = bad[np.abs(flat[bad]) > INIT_CLIP]
     return std * out
 
 
@@ -172,19 +176,18 @@ _LMLP_AXES = {
     "D2": ("linear", "none", "sum", "linear", "mlp"),
     "E1": ("linear", "gelu", "product", "linear", "mlp"),
     "E2": ("linear", "gelu", "sum", "linear", "mlp"),
-    # Skip placement is a backbone concern; at block level these equal D2.
-    "F1": ("linear", "none", "sum", "linear", "mlp"),
-    "F2": ("linear", "none", "sum", "linear", "mlp"),
-    "F2-DEEP": ("linear", "none", "sum", "linear", "mlp"),
 }
+# Skip placement is a backbone concern; at block level these presets are D2.
+_ALIASES = {"F1": "D2", "F2": "D2", "F2-DEEP": "D2"}
 _BASELINES = {"A2": "mixer", "A3": "gmlp", "TRANSFORMER": "transformer"}
 
-PRESET_NAMES = tuple(_LMLP_AXES) + tuple(_BASELINES)
+PRESET_NAMES = tuple(_LMLP_AXES) + tuple(_ALIASES) + tuple(_BASELINES)
 
 
 def preset_config(name: str, seq_len: int, embed_dim: int, mlp_scale: float = 4.0) -> BlockConfig:
     """BlockConfig for a named design-grid preset (topology only; sizes are args)."""
     key = name.strip().upper().replace("_", "-")
+    key = _ALIASES.get(key, key)
     if key in _BASELINES:
         return BlockConfig(seq_len=seq_len, embed_dim=embed_dim, kind=_BASELINES[key],
                            mlp_scale=mlp_scale)

@@ -139,7 +139,8 @@ def load_checkpoint(path) -> Checkpoint:
     config_len = reader.unpack("<I")
     try:
         config = parse_config(reader.text(config_len, "embedded config"))
-    except ConfigError as exc:
+        config.validate()
+    except (ConfigError, UsageError) as exc:
         raise CheckpointError(f"{path}: bad embedded config: {exc}") from exc
     step = reader.unpack("<Q")
     count = reader.unpack("<I")

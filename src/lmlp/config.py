@@ -8,12 +8,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from . import dataset
-from .backbone import BackboneConfig
+from .backbone import BackboneConfig, ConfigError
 from .diffusion import GuidanceConfig, NoiseSchedule, SamplerConfig
-
-
-class ConfigError(ValueError):
-    """Malformed configuration input; the message names key and line."""
 
 
 @dataclass

@@ -150,10 +150,12 @@ def cfg_eps(model, x_t: Tensor, text_ids: np.ndarray, t, omega: float,
             null_id: int = 0) -> Tensor:
     """Guided prediction (1 + omega) * eps(cond) - omega * eps(uncond).
 
-    Affine in omega; omega = 0 returns the conditional branch bitwise and
-    omega = -1 the unconditional one.
+    Affine in omega; omega = 0 returns the conditional branch itself, without
+    running the unconditional one, and omega = -1 the unconditional one.
     """
     cond = model.forward(x_t, text_ids, t)
+    if omega == 0:
+        return cond
     uncond = model.forward(x_t, np.full_like(np.asarray(text_ids), null_id), t)
     return cond * (1.0 + omega) - uncond * omega
 

@@ -15,7 +15,6 @@ import math
 from contextlib import contextmanager
 
 import numpy as np
-from scipy import special
 
 DEFAULT_DTYPE = np.float64
 
@@ -623,6 +622,10 @@ def gelu(x: Tensor) -> Tensor:
             return (dx,)
 
         return _record(out, (x,), vjp)
+    # Imported here: float64 is the only path that needs scipy, and importing
+    # scipy.special at module level would more than double lmlp's import time.
+    from scipy import special
+
     cdf = 0.5 * (1.0 + special.erf(x_data * (1.0 / math.sqrt(2.0))))
     out = Tensor._make(x_data * cdf, "gelu")
 

@@ -30,6 +30,32 @@ def randomize(block, seed=123):
         p.data[...] = 0.2 * rng.standard_normal(p.shape)
 
 
+def mask_loop_trunc_normal(rng, shape, std):
+    """Reference: redraw under a boolean mask that rescans the whole array."""
+    out = rng.standard_normal(shape)
+    bad = np.abs(out) > blocks.INIT_CLIP
+    while bad.any():
+        out[bad] = rng.standard_normal(int(bad.sum()))
+        bad = np.abs(out) > blocks.INIT_CLIP
+    return std * out
+
+
+class TestTruncNormal:
+    @pytest.mark.parametrize("shape", [(0,), (1,), (7, 3), (3, 4, 5), (2048, 512)])
+    @pytest.mark.parametrize("std", [blocks.INIT_STD, 1.0])
+    def test_bitwise_equal_to_mask_loop(self, shape, std):
+        for seed in range(4):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            out = blocks.trunc_normal(rng, shape, std)
+            ref = mask_loop_trunc_normal(ref_rng, shape, std)
+            assert out.shape == ref.shape and np.array_equal(out, ref)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_every_draw_within_two_sigma(self):
+        out = blocks.trunc_normal(np.random.default_rng(0), (512, 512), 0.5)
+        assert np.abs(out).max() <= 1.0
+
+
 class TestConstruction:
     def test_same_seed_bitwise_identical(self):
         a = small_block("D2", seed=7)
@@ -66,6 +92,10 @@ class TestConstruction:
     def test_mlp_hidden_rounds_fractional_scale(self):
         assert blocks.mlp_hidden(512, 5.2) == round(5.2 * 512)
         assert blocks.mlp_hidden(1, 0.1) == 1
+
+    @pytest.mark.parametrize("alias", ["F1", "F2", "F2-Deep", "f2_deep"])
+    def test_skip_presets_are_d2_at_block_level(self, alias):
+        assert blocks.preset_config(alias, 6, 8) == blocks.preset_config("D2", 6, 8)
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(blocks.UnsupportedBlockError):

@@ -80,6 +80,15 @@ class TestTrainCommand:
     def test_missing_config_file_exits_1(self, capsys):
         assert main(["train", "--config", "/no/such/file.cfg"]) == 1
 
+    @pytest.mark.parametrize("flag, value", [("--depth", "0"), ("--patch", "3"),
+                                             ("--preset", "ZZ")])
+    def test_bad_model_config_exits_2(self, tmp_path, capsys, flag, value):
+        code = main(["train", flag, value, "--train-steps", "1",
+                     "--out-dir", str(tmp_path / "t")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert flag[2:] in err and err.count("\n") == 1
+
 
 class TestSampleCommand:
     def test_sample_writes_one_file_per_caption(self, trained_checkpoint, tmp_path, capsys):
@@ -120,6 +129,17 @@ class TestSampleCommand:
                          "--steps", "4", "--seed", "2", "--out-dir", str(out)]) == 0
             outputs[omega] = next(out.glob("*.csv")).read_bytes()
         assert outputs["0"] == outputs["-1"]
+
+    def test_checkpoint_with_bad_config_exits_1(self, trained_checkpoint, tmp_path, capsys):
+        raw = trained_checkpoint.read_bytes()
+        bad = tmp_path / "bad.lmlp"
+        bad.write_bytes(raw.replace(b"preset = F2", b"preset = ZZ", 1))
+        captions = tmp_path / "c.txt"
+        captions.write_text("square center bright\n")
+        code = main(["sample", "--checkpoint", str(bad), "--captions", str(captions),
+                     "--steps", "1", "--out-dir", str(tmp_path / "s")])
+        assert code == 1
+        assert "embedded config" in capsys.readouterr().err
 
     def test_unknown_caption_token_exits_2(self, trained_checkpoint, tmp_path, capsys):
         captions = tmp_path / "bad.txt"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lmlp import checkpoint, tensor as T
+from lmlp import backbone, checkpoint, tensor as T
 from lmlp.backbone import build_model
 from lmlp.checkpoint import (
     CheckpointError,
@@ -71,6 +71,13 @@ class TestConfigFormat:
     def test_validate_rejects_bad_geometry(self):
         with pytest.raises(Exception):
             tiny_config(image_side=5).validate()
+
+    def test_one_config_error_class(self):
+        assert ConfigError is backbone.ConfigError
+
+    def test_validate_rejects_unknown_preset(self):
+        with pytest.raises(ConfigError, match="ZZ"):
+            tiny_config(preset="ZZ").validate()
 
 
 class TestOptimizer:
@@ -206,6 +213,13 @@ def _trailing_bytes(raw, name):
     return raw + b"\x00"
 
 
+def _config_text(old, new):
+    def corrupt(raw, name):
+        assert len(old) == len(new) and old in raw  # no offset moves
+        return raw.replace(old, new, 1)             # the config comes first
+    return corrupt
+
+
 def _non_finite_value(value):
     def corrupt(raw, name):
         # the first parameter's data follows its name, rank and extents
@@ -220,8 +234,12 @@ class TestMalformedCheckpoint:
     @pytest.mark.parametrize("corrupt", [
         _bad_utf8_config, _bad_utf8_name, _garbage_config, _trailing_bytes,
         _non_finite_value(np.nan), _non_finite_value(np.inf),
+        _config_text(b"depth = 2", b"depth = 0"), _config_text(b"patch = 2", b"patch = 3"),
+        _config_text(b"preset = F2", b"preset = ZZ"),
+        _config_text(b"caption_keep_prob = 0.9", b"caption_keep_prob = 9.0"),
     ], ids=["bad-utf8-config", "bad-utf8-name", "garbage-config", "trailing-bytes",
-            "nan-value", "inf-value"])
+            "nan-value", "inf-value", "zero-depth", "patch-not-dividing", "unknown-preset",
+            "keep-prob-above-one"])
     def test_raises_checkpoint_error(self, tmp_path, corrupt):
         config = tiny_config()
         model = build_model(config.backbone_config(), config.seed, dtype=np.float32)

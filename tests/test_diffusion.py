@@ -254,6 +254,14 @@ class TestGuidance:
         assert np.allclose(outs[0], outs[1], atol=1e-15)
         assert np.allclose(outs[1], outs[2], atol=1e-14)
 
+    @pytest.mark.parametrize("omega, forwards", [(0.0, 1), (1.0, 2)])
+    def test_omega_zero_skips_unconditional_pass(self, omega, forwards):
+        calls = []
+        model = StubModel(lambda x_t, i, t: calls.append(i) or x_t * 2.0)
+        x = Tensor(np.random.default_rng(14).standard_normal((1, 1, 4, 4)))
+        cfg_eps(model, x, np.array([[1, 2]]), np.zeros(1, dtype=int), omega)
+        assert len(calls) == forwards
+
 
 class TestSampler:
     def test_timestep_sequence_shape(self, sched):

@@ -277,7 +277,7 @@ class TestGelu:
         def refuse(*args, **kwargs):
             raise AssertionError("scipy erf called")
 
-        monkeypatch.setattr(T.special, "erf", refuse)
+        monkeypatch.setattr(special, "erf", refuse)
         T.gelu(T.Tensor(np.linspace(-3.0, 3.0, 7, dtype=np.float32)))
 
     def test_float64_is_bitwise_the_erf_form(self):
