@@ -6,7 +6,7 @@ from .backbone import BackboneConfig, UlMlpModel, build_model
 from .blocks import BlockConfig, build_block, preset_config
 from .config import RunConfig
 from .diffusion import GuidanceConfig, NoiseSchedule, SamplerConfig
-from .tensor import Tensor, no_grad, reset_tape
+from .tensor import Tensor, no_grad
 
 __all__ = [
     "BackboneConfig",
@@ -21,5 +21,4 @@ __all__ = [
     "build_model",
     "no_grad",
     "preset_config",
-    "reset_tape",
 ]

@@ -1,9 +1,11 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Values are numpy arrays (float64 by default, float32 for training runs).
-Every differentiable operation appends a vector-Jacobian callback to a
-global tape in execution order; ``backward`` on a scalar loss replays the
-tape in exact reverse order and accumulates gradients into the leaves.
+Every differentiable operation stores its parents, its vector-Jacobian
+callback and a sequence number on the tensor it returns: the graph is owned
+by its outputs and freed with the loss, and nothing needs a reset.
+``backward`` on a scalar loss runs the operations reachable from the loss in
+exact reverse execution order and accumulates gradients into the leaves.
 
 The engine refuses to propagate NaN/Inf: any operation whose result is
 non-finite raises ``NonFiniteError`` instead of returning garbage.
@@ -11,6 +13,7 @@ non-finite raises ``NonFiniteError`` instead of returning garbage.
 
 from __future__ import annotations
 
+import itertools
 import math
 from contextlib import contextmanager
 
@@ -32,35 +35,18 @@ class NonFiniteError(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
-# tape, grad mode, MAC instrumentation
+# recording order, grad mode, MAC instrumentation
 # ---------------------------------------------------------------------------
 
-class _TapeEntry:
-    __slots__ = ("out", "parents", "vjp")
-
-    def __init__(self, out, parents, vjp):
-        self.out = out
-        self.parents = parents
-        self.vjp = vjp
-
-
-_TAPE: list[_TapeEntry] = []
+# Numbers recorded ops in execution order, across graphs; never reset.
+_SEQUENCE = itertools.count()
 _GRAD_ENABLED = True
 _MAC_STACK: list["MacCounter"] = []
 
 
-def reset_tape() -> None:
-    """Drop every recorded operation (call between training steps)."""
-    _TAPE.clear()
-
-
-def tape_size() -> int:
-    return len(_TAPE)
-
-
 @contextmanager
 def no_grad():
-    """Disable tape recording inside the block."""
+    """Disable recording inside the block."""
     global _GRAD_ENABLED
     prev = _GRAD_ENABLED
     _GRAD_ENABLED = False
@@ -105,7 +91,8 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
 class Tensor:
     """Contiguous N-d array with an optional gradient of the same shape."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_recorded")
+    # _seq and _parents are set only on recorded outputs, whose _vjp is not None
+    __slots__ = ("data", "grad", "requires_grad", "_seq", "_parents", "_vjp")
 
     def __init__(self, data, dtype=None, requires_grad: bool = False):
         arr = np.asarray(data, dtype=dtype)
@@ -116,7 +103,7 @@ class Tensor:
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._recorded = False
+        self._vjp = None
 
     @classmethod
     def _make(cls, arr: np.ndarray, op: str) -> "Tensor":
@@ -126,7 +113,7 @@ class Tensor:
         out.data = np.ascontiguousarray(arr)
         out.grad = None
         out.requires_grad = False
-        out._recorded = False
+        out._vjp = None
         return out
 
     # -- introspection ------------------------------------------------------
@@ -197,8 +184,9 @@ def _as_tensor(value, dtype) -> Tensor:
 def _record(out: Tensor, parents: tuple[Tensor, ...], vjp) -> Tensor:
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._recorded = True
-        _TAPE.append(_TapeEntry(out, parents, vjp))
+        out._seq = next(_SEQUENCE)
+        out._parents = parents
+        out._vjp = vjp
     return out
 
 
@@ -733,36 +721,42 @@ def tensor_mean(x: Tensor) -> Tensor:
     return _record(out, (x,), vjp)
 
 
+def _graph_nodes(loss: Tensor) -> list[Tensor]:
+    """The recorded tensors reachable from ``loss``, latest operation first."""
+    nodes, pending = {}, [loss]
+    while pending:
+        t = pending.pop()
+        if t._vjp is not None and id(t) not in nodes:
+            nodes[id(t)] = t
+            pending.extend(t._parents)
+    return sorted(nodes.values(), key=lambda t: t._seq, reverse=True)
+
+
 def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every requires-grad leaf reachable from the scalar loss.
 
-    Repeated calls without zeroing the leaves accumulate. The walk visits tape
-    entries in exact reverse execution order; entries not on the path from the
-    loss carry no adjoint and are skipped.
+    Repeated calls without zeroing the leaves accumulate. The walk visits the
+    operations reachable from the loss in exact reverse execution order, so
+    every node's adjoint is complete before its vjp runs, and adjoints and
+    leaf gradients are summed in a fixed order.
     """
     if loss.size != 1:
         raise UsageError("backward needs a scalar loss")
     if not loss.requires_grad:
         raise UsageError("loss is not connected to any requires_grad tensor")
     adjoint: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    if not loss._recorded:
+    if loss._vjp is None:
         loss.grad = (loss.grad if loss.grad is not None else 0) + adjoint[id(loss)]
         return
-    for entry in reversed(_TAPE):
-        g = adjoint.pop(id(entry.out), None)
-        if g is None:
-            continue
-        grads = entry.vjp(g)
-        for parent, grad in zip(entry.parents, grads):
-            if grad is None or not parent.requires_grad:
+    for node in _graph_nodes(loss):
+        grads = node._vjp(adjoint.pop(id(node)))
+        for parent, grad in zip(node._parents, grads):
+            if not parent.requires_grad:
                 continue
             _check_finite(grad, "backward")
-            if parent._recorded:
-                key = id(parent)
-                if key in adjoint:
-                    adjoint[key] = adjoint[key] + grad
-                else:
-                    adjoint[key] = grad
+            if parent._vjp is not None:
+                prev = adjoint.get(id(parent))
+                adjoint[id(parent)] = grad if prev is None else prev + grad
             else:
                 parent.grad = grad if parent.grad is None else parent.grad + grad
 
@@ -788,12 +782,10 @@ __all__ = [
     "pad2d",
     "permute",
     "permute_last_two",
-    "reset_tape",
     "reshape",
     "sigmoid",
     "softmax_last",
     "sub",
-    "tape_size",
     "tensor_mean",
     "tensor_sum",
 ]

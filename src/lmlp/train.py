@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import tensor as T
 from .backbone import build_model
 from .checkpoint import (
     atomic_open,
@@ -24,13 +23,16 @@ from .checkpoint import (
     restore_optimizer,
     save_checkpoint,
 )
-from .config import RunConfig
+from .config import SECTIONS, ConfigError, RunConfig
 from .dataset import generate_arrays
 from .diffusion import training_loss
 from .optim import AdamW, warmup_lr
 
 LOG_NAME = "loss_log.csv"
 LOG_HEADER = "step,loss"
+# A resume must agree with its checkpoint on these: they fix the model, data and RNG streams.
+_RESUME_KEYS = SECTIONS["model"] + ("seed", "data_seed", "num_samples", "batch_size",
+                                    "grad_accumulation")
 
 
 @dataclass
@@ -64,6 +66,11 @@ def run_training(config: RunConfig, resume: str | None = None) -> TrainResult:
 
     if resume is not None:
         snapshot = load_checkpoint(resume)
+        for key in _RESUME_KEYS:
+            ours, stored = getattr(config, key), getattr(snapshot.config, key)
+            if ours != stored:
+                raise ConfigError(f"cannot resume from {resume}: {key} is {ours!r} "
+                                  f"here but {stored!r} in the checkpoint")
         model = restore_model(snapshot)
         optimizer = restore_optimizer(snapshot, model, lr=config.learning_rate,
                                       betas=(config.beta1, config.beta2),
@@ -98,8 +105,8 @@ def run_training(config: RunConfig, resume: str | None = None) -> TrainResult:
                 loss = training_loss(model, x0_all[batch_idx], captions[batch_idx],
                                      sched, guidance, rng)
                 loss.backward()
-                T.reset_tape()
                 step_loss += loss.item()
+                del loss  # frees this micro-batch's graph before the next forward
             if config.grad_accumulation > 1:
                 for p in optimizer.params:
                     if p.grad is not None:

@@ -38,7 +38,6 @@ def check_gradients(loss_fn, params, step: float = 1e-5, tol: float = 1e-4) -> f
     reused (under no_grad) for the finite-difference evaluations. Returns the
     worst relative error across all parameters.
     """
-    T.reset_tape()
     for p in params:
         p.zero_grad()
     loss = loss_fn()
@@ -50,5 +49,4 @@ def check_gradients(loss_fn, params, step: float = 1e-5, tol: float = 1e-4) -> f
         err = max_rel_error(p.grad, fd)
         worst = max(worst, err)
         assert err <= tol, f"gradient mismatch: rel error {err:.3e} > {tol}"
-    T.reset_tape()
     return worst

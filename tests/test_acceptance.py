@@ -39,13 +39,6 @@ def report(number: int, message: str) -> None:
     print(f"\nACCEPTANCE {number:02d} PASS - {message}")
 
 
-@pytest.fixture(autouse=True)
-def clean_tape():
-    T.reset_tape()
-    yield
-    T.reset_tape()
-
-
 def randomize(module, seed):
     rng = np.random.default_rng(seed)
     for _, p in module.named_parameters():

@@ -6,13 +6,6 @@ from lmlp import backbone, blocks, tensor as T
 from lmlp.backbone import BackboneConfig, build_model, patchify, sinusoidal_encoding, unpatchify
 
 
-@pytest.fixture(autouse=True)
-def clean_tape():
-    T.reset_tape()
-    yield
-    T.reset_tape()
-
-
 def desk_config(**overrides):
     base = dict(image_side=4, in_channels=1, patch=2, embed_dim=8, depth=4,
                 text_tokens=2, vocab_size=6, preset="F2", mlp_scale=2.0,

@@ -8,13 +8,6 @@ LMLP_PRESETS = ["A1", "B1", "B2", "B3", "C1", "D1", "D2", "E1", "E2", "F1", "F2"
 ALL_PRESETS = LMLP_PRESETS + ["A2", "A3", "transformer"]
 
 
-@pytest.fixture(autouse=True)
-def clean_tape():
-    T.reset_tape()
-    yield
-    T.reset_tape()
-
-
 def tokens(batch=2, seq=6, dim=8, seed=0):
     rng = np.random.default_rng(seed)
     return T.Tensor(rng.standard_normal((batch, seq, dim)))

@@ -19,13 +19,6 @@ from lmlp.diffusion import (
 from lmlp.tensor import Tensor
 
 
-@pytest.fixture(autouse=True)
-def clean_tape():
-    T.reset_tape()
-    yield
-    T.reset_tape()
-
-
 @pytest.fixture()
 def sched():
     return NoiseSchedule()
@@ -172,17 +165,17 @@ class TestTrainingLoss:
         check_gradients(loss, params)
 
 
-    def test_desk_step_records_at_most_64_tape_entries(self):
-        """F2 at the desk defaults (depth 4, L=21, D=64): one entry per dense
+    def test_desk_step_records_at_most_64_graph_nodes(self):
+        """F2 at the desk defaults (depth 4, L=21, D=64): one node per dense
         layer, norm, activation and residual add, and no permutes."""
         config = RunConfig()
         model = build_model(config.backbone_config(), 0, dtype=np.float32)
         rng = np.random.default_rng(0)
         x0 = rng.standard_normal((2, 1, config.image_side, config.image_side))
         ids = np.ones((2, config.text_tokens), dtype=int)
-        T.reset_tape()
-        training_loss(model, x0, ids, config.noise_schedule(), config.guidance_config(), rng)
-        assert T.tape_size() <= 64
+        loss = training_loss(model, x0, ids, config.noise_schedule(),
+                             config.guidance_config(), rng)
+        assert len(T._graph_nodes(loss)) <= 64
 
 
 class TestScore:

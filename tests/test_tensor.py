@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -6,13 +7,6 @@ from scipy import special
 
 from helpers import check_gradients, fd_gradient, max_rel_error
 from lmlp import tensor as T
-
-
-@pytest.fixture(autouse=True)
-def clean_tape():
-    T.reset_tape()
-    yield
-    T.reset_tape()
 
 
 def rand(shape, seed, requires_grad=False):
@@ -134,12 +128,10 @@ class TestDense:
             T.matmul(x, w, b, axis)
         assert counter.total == rows * shape[axis] * 7
 
-    def test_one_tape_entry_per_call(self):
+    def test_one_graph_node_per_call(self):
         x = rand((2, 5, 3), 69)
         w, b = dense_params(4, 3, 70)
-        T.reset_tape()
-        T.matmul(x, w, b, axis=-1)
-        assert T.tape_size() == 1
+        assert len(T._graph_nodes(T.matmul(x, w, b, axis=-1))) == 1
 
     @pytest.mark.parametrize("axis", [0, 1, -3, 2])
     def test_bad_axis_rejected(self, axis):
@@ -368,7 +360,57 @@ class TestBackward:
         with T.no_grad():
             y = (x * x).sum()
         assert not y.requires_grad
-        assert T.tape_size() == 0
+        assert T._graph_nodes(y) == []
+
+    def test_graph_is_freed_with_its_loss(self):
+        x = rand((3, 4), 90, requires_grad=True)
+        y = T.gelu(x)
+        activation = weakref.ref(y.data)
+        loss = y.sum()
+        del y
+        assert activation() is not None
+        del loss
+        assert activation() is None
+
+    def test_failed_forward_leaves_nothing_alive(self):
+        x = T.Tensor(np.full(4, 1e200), requires_grad=True)
+        activations = []
+
+        def forward():
+            h = x * 2.0
+            activations.append(weakref.ref(h.data))
+            return (h * h).sum()  # overflows halfway through the forward
+
+        with pytest.raises(T.NonFiniteError):
+            forward()
+        assert activations[0]() is None
+
+    def test_two_live_graphs_match_solo_runs(self):
+        x = rand((3, 4), 91)
+
+        def params(seed):
+            return [rand((4, 4), seed + i, requires_grad=True) for i in range(3)]
+
+        def losses(*param_sets):
+            """One loss per parameter set, their ops interleaved layer by layer."""
+            hs = [x] * len(param_sets)
+            for layer in range(3):
+                hs = [T.gelu(T.matmul(h, ps[layer])) + h for h, ps in zip(hs, param_sets)]
+            return [h.sum() for h in hs]
+
+        solo = []
+        for seed in (92, 95):
+            ps = params(seed)
+            losses(ps)[0].backward()
+            solo.append([p.grad for p in ps])
+        for order in ((0, 1), (1, 0)):
+            sets = [params(92), params(95)]
+            pair = losses(*sets)
+            for i in order:
+                pair[i].backward()
+            for ps, expected in zip(sets, solo):
+                for p, g in zip(ps, expected):
+                    assert np.array_equal(p.grad, g)
 
     def test_shared_operand_used_twice(self):
         x = rand((3,), 56, requires_grad=True)

@@ -1,7 +1,8 @@
 import numpy as np
+import pytest
 
 from lmlp.checkpoint import load_checkpoint
-from lmlp.config import RunConfig
+from lmlp.config import ConfigError, RunConfig
 from lmlp.train import LOG_HEADER, checkpoint_name, run_training
 
 
@@ -92,3 +93,26 @@ class TestTraining:
         snapshot = load_checkpoint(result.final_checkpoint)
         assert snapshot.config == config
         assert snapshot.step == config.train_steps
+
+
+class TestResumeConfig:
+    @pytest.fixture()
+    def half_run(self, tmp_path):
+        run_training(tiny_config(tmp_path / "half", train_steps=2))
+        return tmp_path / "half" / checkpoint_name(2)
+
+    @pytest.mark.parametrize("key, value", [
+        ("preset", "A2"), ("depth", 4),                       # [model]
+        ("seed", 7), ("data_seed", 1),                        # random streams
+        ("num_samples", 32), ("batch_size", 4), ("grad_accumulation", 2),  # data
+    ])
+    def test_mismatched_key_is_refused(self, tmp_path, half_run, key, value):
+        config = tiny_config(tmp_path / "resumed", train_steps=4, **{key: value})
+        with pytest.raises(ConfigError, match=f"{key} is {value!r} here but"):
+            run_training(config, resume=half_run)
+
+    def test_run_and_optimizer_keys_may_differ(self, tmp_path, half_run):
+        config = tiny_config(tmp_path / "resumed", train_steps=3, checkpoint_every=1,
+                             learning_rate=1e-4, weight_decay=0.0, beta1=0.8)
+        run_training(config, resume=half_run)
+        assert load_checkpoint(tmp_path / "resumed" / checkpoint_name(3)).step == 3
