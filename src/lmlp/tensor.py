@@ -1,11 +1,15 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Values are numpy arrays (float64 by default, float32 for training runs).
-Every differentiable operation stores its parents, its vector-Jacobian
-callback and a sequence number on the tensor it returns: the graph is owned
-by its outputs and freed with the loss, and nothing needs a reset.
-``backward`` on a scalar loss runs the operations reachable from the loss in
-exact reverse execution order and accumulates gradients into the leaves.
+Every differentiable operation hangs a graph node on the tensor it returns:
+a sequence number, its operands' nodes (or the requires-grad leaves
+themselves) and a vector-Jacobian callback. A node holds only what backward
+reads, never an output or operand tensor, so a forward array that no vjp
+reads is freed as soon as the caller drops it; GELU, for one, keeps its
+derivative factor instead of its input. The graph is owned by its outputs
+and freed with the loss, and nothing needs a reset. ``backward`` on a scalar
+loss runs the operations reachable from the loss in exact reverse execution
+order and accumulates gradients into the leaves.
 
 The engine refuses to propagate NaN/Inf: any operation whose result is
 non-finite raises ``NonFiniteError`` instead of returning garbage.
@@ -88,11 +92,29 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
 # Tensor
 # ---------------------------------------------------------------------------
 
+class _Node:
+    """One recorded operation: what backward needs of it, and nothing else.
+
+    ``parents`` holds, per operand, its node if it was recorded, the operand
+    itself if it is a requires-grad leaf, and None if it needs no gradient.
+    """
+
+    __slots__ = ("seq", "parents", "vjp")
+
+    def __init__(self, operands, vjp):
+        self.seq = next(_SEQUENCE)
+        self.parents = tuple(
+            p._node if p._node is not None else (p if p.requires_grad else None)
+            for p in operands
+        )
+        self.vjp = vjp
+
+
 class Tensor:
     """Contiguous N-d array with an optional gradient of the same shape."""
 
-    # _seq and _parents are set only on recorded outputs, whose _vjp is not None
-    __slots__ = ("data", "grad", "requires_grad", "_seq", "_parents", "_vjp")
+    # _node is None except on recorded outputs
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, dtype=None, requires_grad: bool = False):
         arr = np.asarray(data, dtype=dtype)
@@ -103,7 +125,7 @@ class Tensor:
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._vjp = None
+        self._node = None
 
     @classmethod
     def _make(cls, arr: np.ndarray, op: str) -> "Tensor":
@@ -113,7 +135,7 @@ class Tensor:
         out.data = np.ascontiguousarray(arr)
         out.grad = None
         out.requires_grad = False
-        out._vjp = None
+        out._node = None
         return out
 
     # -- introspection ------------------------------------------------------
@@ -181,13 +203,19 @@ def _as_tensor(value, dtype) -> Tensor:
     return Tensor(np.asarray(value, dtype=dtype))
 
 
-def _record(out: Tensor, parents: tuple[Tensor, ...], vjp) -> Tensor:
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._seq = next(_SEQUENCE)
-        out._parents = parents
-        out._vjp = vjp
+def _recording(operands: tuple[Tensor, ...]) -> bool:
+    """Whether an operation on ``operands`` is recorded."""
+    return _GRAD_ENABLED and any(p.requires_grad for p in operands)
+
+
+def _attach(out: Tensor, operands: tuple[Tensor, ...], vjp) -> Tensor:
+    out.requires_grad = True
+    out._node = _Node(operands, vjp)
     return out
+
+
+def _record(out: Tensor, operands: tuple[Tensor, ...], vjp) -> Tensor:
+    return _attach(out, operands, vjp) if _recording(operands) else out
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -224,9 +252,10 @@ def _elementwise_operands(a, b):
 def add(a, b) -> Tensor:
     a, b = _elementwise_operands(a, b)
     out = Tensor._make(a.data + b.data, "add")
+    a_shape, b_shape = a.shape, b.shape
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
     return _record(out, (a, b), vjp)
 
@@ -234,9 +263,10 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = _elementwise_operands(a, b)
     out = Tensor._make(a.data - b.data, "sub")
+    a_shape, b_shape = a.shape, b.shape
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(-g, b_shape)
 
     return _record(out, (a, b), vjp)
 
@@ -246,10 +276,14 @@ def mul(a, b) -> Tensor:
     with np.errstate(over="ignore", invalid="ignore"):
         raw = a.data * b.data
     out = Tensor._make(raw, "mul")
-    a_data, b_data = a.data, b.data
+    # Each operand is read only for the other one's gradient.
+    a_data = a.data if b.requires_grad else None
+    b_data = b.data if a.requires_grad else None
+    a_shape, b_shape = a.shape, b.shape
 
     def vjp(g):
-        return _unbroadcast(g * b_data, a.shape), _unbroadcast(g * a_data, b.shape)
+        return (None if b_data is None else _unbroadcast(g * b_data, a_shape),
+                None if a_data is None else _unbroadcast(g * a_data, b_shape))
 
     return _record(out, (a, b), vjp)
 
@@ -590,38 +624,42 @@ def gelu(x: Tensor) -> Tensor:
     against a float64 reference on float32 inputs in [-12, 12], the tested
     error is at most 2^-22 |x| for gelu and 2^-22 for its derivative, and
     the negative tail keeps a relative error near 1e-5 down to x = -13.
+
+    A recorded call computes the derivative factor Phi + x * phi in the
+    forward and keeps only that, not x or Phi; its vjp is g times the factor.
     """
     x = _as_tensor(x, None)
     x_data = x.data
+    recording = _recording((x,))
     if x_data.dtype == np.float32:
         out, cdf = _gelu32(x_data)
         out = Tensor._make(out, "gelu")
-
-        def vjp(g):
-            # g * (Phi + x * phi), with phi = exp(-x^2 / 2 - log sqrt(2 pi))
-            dx = np.multiply(x_data, np.float32(-0.5))
+        if recording:
+            # Phi + x * phi, with phi = exp(-x^2 / 2 - log sqrt(2 pi))
+            factor = np.multiply(x_data, np.float32(-0.5))
             with np.errstate(over="ignore"):
-                dx *= x_data
-            dx -= _LOG_SQRT_2PI
-            np.exp(dx, out=dx)
-            dx *= x_data
-            dx += cdf
-            dx *= g
-            return (dx,)
+                factor *= x_data
+            factor -= _LOG_SQRT_2PI
+            np.exp(factor, out=factor)
+            factor *= x_data
+            factor += cdf
+    else:
+        # Imported here: float64 is the only path that needs scipy, and importing
+        # scipy.special at module level would more than double lmlp's import time.
+        from scipy import special
 
-        return _record(out, (x,), vjp)
-    # Imported here: float64 is the only path that needs scipy, and importing
-    # scipy.special at module level would more than double lmlp's import time.
-    from scipy import special
-
-    cdf = 0.5 * (1.0 + special.erf(x_data * (1.0 / math.sqrt(2.0))))
-    out = Tensor._make(x_data * cdf, "gelu")
+        cdf = 0.5 * (1.0 + special.erf(x_data * (1.0 / math.sqrt(2.0))))
+        out = Tensor._make(x_data * cdf, "gelu")
+        if recording:
+            pdf = np.exp(-0.5 * x_data * x_data) * (1.0 / math.sqrt(2.0 * math.pi))
+            factor = cdf + x_data * pdf
+    if not recording:
+        return out
 
     def vjp(g):
-        pdf = np.exp(-0.5 * x_data * x_data) * (1.0 / math.sqrt(2.0 * math.pi))
-        return (g * (cdf + x_data * pdf),)
+        return (g * factor,)
 
-    return _record(out, (x,), vjp)
+    return _attach(out, (x,), vjp)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -721,15 +759,15 @@ def tensor_mean(x: Tensor) -> Tensor:
     return _record(out, (x,), vjp)
 
 
-def _graph_nodes(loss: Tensor) -> list[Tensor]:
-    """The recorded tensors reachable from ``loss``, latest operation first."""
-    nodes, pending = {}, [loss]
+def _graph_nodes(loss: Tensor) -> list[_Node]:
+    """The recorded operations reachable from ``loss``, latest first."""
+    nodes, pending = {}, [loss._node]
     while pending:
-        t = pending.pop()
-        if t._vjp is not None and id(t) not in nodes:
-            nodes[id(t)] = t
-            pending.extend(t._parents)
-    return sorted(nodes.values(), key=lambda t: t._seq, reverse=True)
+        node = pending.pop()
+        if isinstance(node, _Node) and id(node) not in nodes:
+            nodes[id(node)] = node
+            pending.extend(node.parents)
+    return sorted(nodes.values(), key=lambda node: node.seq, reverse=True)
 
 
 def backward(loss: Tensor) -> None:
@@ -744,17 +782,18 @@ def backward(loss: Tensor) -> None:
         raise UsageError("backward needs a scalar loss")
     if not loss.requires_grad:
         raise UsageError("loss is not connected to any requires_grad tensor")
-    adjoint: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    if loss._vjp is None:
-        loss.grad = (loss.grad if loss.grad is not None else 0) + adjoint[id(loss)]
+    ones = np.ones_like(loss.data)
+    if loss._node is None:
+        loss.grad = (loss.grad if loss.grad is not None else 0) + ones
         return
+    adjoint: dict[int, np.ndarray] = {id(loss._node): ones}
     for node in _graph_nodes(loss):
-        grads = node._vjp(adjoint.pop(id(node)))
-        for parent, grad in zip(node._parents, grads):
-            if not parent.requires_grad:
+        grads = node.vjp(adjoint.pop(id(node)))
+        for parent, grad in zip(node.parents, grads):
+            if parent is None:
                 continue
             _check_finite(grad, "backward")
-            if parent._vjp is not None:
+            if isinstance(parent, _Node):
                 prev = adjoint.get(id(parent))
                 adjoint[id(parent)] = grad if prev is None else prev + grad
             else:

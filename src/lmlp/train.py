@@ -30,9 +30,10 @@ from .optim import AdamW, warmup_lr
 
 LOG_NAME = "loss_log.csv"
 LOG_HEADER = "step,loss"
-# A resume must agree with its checkpoint on these: they fix the model, data and RNG streams.
-_RESUME_KEYS = SECTIONS["model"] + ("seed", "data_seed", "num_samples", "batch_size",
-                                    "grad_accumulation")
+# A resume must agree with its checkpoint on these: they fix the model, the noise
+# schedule, the data and the RNG streams.
+_RESUME_KEYS = SECTIONS["model"] + SECTIONS["diffusion"] + (
+    "seed", "data_seed", "num_samples", "batch_size", "grad_accumulation")
 
 
 @dataclass
@@ -85,6 +86,7 @@ def run_training(config: RunConfig, resume: str | None = None) -> TrainResult:
 
     images, captions = generate_arrays(config.dataset_config(), config.num_samples)
     x0_all = (2.0 * images - 1.0).astype(np.float32)
+    del images  # only x0_all is read from here on
 
     log_path = out_dir / LOG_NAME
     if log_path.exists():

@@ -82,6 +82,17 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert "seed is 7 here but 0" in err and err.count("\n") == 1
 
+    def test_resume_with_other_train_timesteps_exits_2(self, trained_checkpoint, tmp_path,
+                                                        capsys):
+        code = main(["train", "--image-side", "8", "--embed-dim", "8", "--depth", "2",
+                     "--text-tokens", "3", "--mlp-scale", "2.0", "--num-samples", "8",
+                     "--train-steps", "3", "--batch-size", "2", "--warmup-steps", "1",
+                     "--checkpoint-every", "2", "--train-timesteps", "100",
+                     "--out-dir", str(tmp_path / "r"), "--resume", str(trained_checkpoint)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "train_timesteps is 100 here but 1000" in err and err.count("\n") == 1
+
     def test_show_config_round_trips(self, capsys):
         assert main(["show-config", "--seed", "9"]) == 0
         out = capsys.readouterr().out

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,26 @@ class TestTrainingLoss:
         loss = training_loss(model, x0, ids, config.noise_schedule(),
                              config.guidance_config(), rng)
         assert len(T._graph_nodes(loss)) <= 64
+
+    def test_desk_step_graph_keeps_at_most_11_mb(self):
+        """The loss of one F2 desk step (B=32, float32) keeps alive only what
+        backward reads: the bytes allocated by the forward and still held."""
+        config = RunConfig()
+        model = build_model(config.backbone_config(), 0, dtype=np.float32)
+        rng = np.random.default_rng(0)
+        side = config.image_side
+        x0 = rng.standard_normal((config.batch_size, 1, side, side)).astype(np.float32)
+        ids = np.ones((config.batch_size, config.text_tokens), dtype=int)
+        sched, guidance = config.noise_schedule(), config.guidance_config()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loss = training_loss(model, x0, ids, sched, guidance, rng)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert loss.requires_grad
+        assert kept <= 11 * 2**20
 
 
 class TestScore:

@@ -366,11 +366,22 @@ class TestBackward:
         x = rand((3, 4), 90, requires_grad=True)
         y = T.gelu(x)
         activation = weakref.ref(y.data)
-        loss = y.sum()
+        loss = (y * y).sum()  # mul's vjp reads y
         del y
         assert activation() is not None
         del loss
         assert activation() is None
+
+    def test_activation_no_vjp_reads_is_freed_while_the_loss_lives(self):
+        a, b = rand((3, 4), 96, requires_grad=True), rand((3, 4), 97, requires_grad=True)
+        c = rand((3, 4), 98)
+        h = a + b
+        activation = weakref.ref(h.data)
+        loss = (h * c).sum()  # c needs no gradient, so no vjp reads h
+        del h
+        assert activation() is None
+        loss.backward()
+        assert np.array_equal(a.grad, c.data) and np.array_equal(b.grad, c.data)
 
     def test_failed_forward_leaves_nothing_alive(self):
         x = T.Tensor(np.full(4, 1e200), requires_grad=True)

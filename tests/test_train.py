@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -105,6 +110,7 @@ class TestResumeConfig:
         ("preset", "A2"), ("depth", 4),                       # [model]
         ("seed", 7), ("data_seed", 1),                        # random streams
         ("num_samples", 32), ("batch_size", 4), ("grad_accumulation", 2),  # data
+        ("train_timesteps", 100), ("beta_end", 0.03),         # [diffusion]
     ])
     def test_mismatched_key_is_refused(self, tmp_path, half_run, key, value):
         config = tiny_config(tmp_path / "resumed", train_steps=4, **{key: value})
@@ -116,3 +122,55 @@ class TestResumeConfig:
                              learning_rate=1e-4, weight_decay=0.0, beta1=0.8)
         run_training(config, resume=half_run)
         assert load_checkpoint(tmp_path / "resumed" / checkpoint_name(3)).step == 3
+
+
+STEADY_STATE_FAULTS = """
+import resource
+
+import numpy as np
+
+from lmlp.backbone import build_model
+from lmlp.config import RunConfig
+from lmlp.dataset import generate_arrays
+from lmlp.diffusion import training_loss
+from lmlp.optim import AdamW
+
+config = RunConfig()
+model = build_model(config.backbone_config(), 0, dtype=np.float32)
+optimizer = AdamW(list(model.named_parameters()), lr=config.learning_rate)
+images, captions = generate_arrays(config.dataset_config(), config.num_samples)
+x0_all = (2.0 * images - 1.0).astype(np.float32)
+sched, guidance = config.noise_schedule(), config.guidance_config()
+for step in range(50):
+    if step == 20:
+        start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    rng = np.random.default_rng((0, step))
+    optimizer.zero_grad()
+    batch = rng.integers(0, config.num_samples, size=config.batch_size)
+    loss = training_loss(model, x0_all[batch], captions[batch], sched, guidance, rng)
+    loss.backward()
+    del loss
+    optimizer.step(config.learning_rate)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start) / 30)
+"""
+
+
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (ValueError, OSError, AttributeError):
+        return False
+
+
+@pytest.mark.skipif(not _glibc(), reason="the heap thresholds are set on glibc only")
+def test_steady_state_desk_steps_do_not_fault_the_heap_back_in():
+    """F2 desk steps (B=32, float32) in a fresh interpreter reuse the memory
+    the previous step freed; with glibc's dynamic thresholds each step faulted
+    several hundred pages back in."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", STEADY_STATE_FAULTS], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 200
