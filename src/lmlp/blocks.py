@@ -11,7 +11,6 @@ same interface, so backbones can swap block families with one config key.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -291,33 +290,13 @@ class TransformerBlock:
         self.norm_2 = LayerNorm(dim, dtype)
         self.mlp = MlpLayer(dim, mlp_hidden(dim, cfg.mlp_scale), rng, dtype)
 
-    def _attention(self, normed: Tensor) -> tuple[Tensor, Tensor]:
-        batch, seq, dim = normed.shape
-        head_dim = dim // self.heads
-        def split(t):
-            return T.permute(T.reshape(t, (batch, seq, self.heads, head_dim)), (0, 2, 1, 3))
-        q = split(self.w_q(normed))
-        k = split(self.w_k(normed))
-        v = split(self.w_v(normed))
-        logits = T.matmul(q, T.permute_last_two(k)) * (1.0 / math.sqrt(head_dim))
-        weights = T.softmax_last(logits)
-        mixed = T.matmul(weights, v)
-        joined = T.reshape(T.permute(mixed, (0, 2, 1, 3)), (batch, seq, dim))
-        return self.w_o(joined), weights
-
-    def attention_weights(self, x: Tensor) -> Tensor:
-        """Softmax attention matrix (B, heads, L, L) for inspection."""
-        _check_tokens(x, self.cfg)
-        _, weights = self._attention(self.norm_1(x))
-        return weights
-
     def forward(self, x: Tensor, skip: Tensor | None = None,
                 skip_stage: str = "none") -> Tensor:
         _check_tokens(x, self.cfg)
         if skip is not None and skip_stage == "first_stage":
             x = x + skip
-        attended, _ = self._attention(self.norm_1(x))
-        h = x + attended
+        n = self.norm_1(x)
+        h = x + self.w_o(T.attention(self.w_q(n), self.w_k(n), self.w_v(n), self.heads))
         if skip is not None and skip_stage == "second_stage":
             h = h + skip
         return h + self.mlp(self.norm_2(h))

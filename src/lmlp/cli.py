@@ -63,7 +63,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_show_config(args) -> int:
-    print(serialize_config(_collect_config(args)), end="")
+    config = _collect_config(args)
+    config.validate()
+    print(serialize_config(config), end="")
     return 0
 
 

@@ -60,6 +60,7 @@ class RunConfig:
             raise ConfigError("learning_rate must be positive")
         self.backbone_config().validate()
         self.guidance_config().validate()
+        self.dataset_config().validate()
 
     # -- derived component configs -------------------------------------------
     def backbone_config(self) -> BackboneConfig:

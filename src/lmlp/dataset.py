@@ -32,12 +32,14 @@ BACKGROUND = 0.05
 
 def encode_caption(words: list[str], text_tokens: int) -> np.ndarray:
     """Words -> fixed-length id vector padded with the null id."""
+    if len(words) > text_tokens:
+        raise UsageError(f"caption {' '.join(words)!r} has {len(words)} words; "
+                         f"the model reads at most {text_tokens}")
     ids = []
     for word in words:
         if word not in VOCAB:
             raise UsageError(f"unknown caption token {word!r}")
         ids.append(VOCAB[word])
-    ids = ids[:text_tokens]
     return np.array(ids + [NULL_ID] * (text_tokens - len(ids)), dtype=np.int64)
 
 
@@ -60,11 +62,12 @@ class ToyDatasetConfig:
 
     def validate(self) -> None:
         if self.side not in (8, 16):
-            raise UsageError("toy images come in sides 8 or 16")
+            raise UsageError(f"toy images come in sides 8 or 16, not image_side {self.side}")
         if not 1 <= self.channels <= 3:
-            raise UsageError("toy images have 1 to 3 channels")
+            raise UsageError(f"toy images have 1 to 3 channels, not in_channels {self.channels}")
         if self.text_tokens < 3:
-            raise UsageError("captions need at least 3 token slots")
+            raise UsageError(f"toy captions have 3 words, too many for "
+                             f"text_tokens {self.text_tokens}")
 
 
 def _stencil(shape: str, size: int) -> np.ndarray:

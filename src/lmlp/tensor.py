@@ -11,6 +11,11 @@ and freed with the loss, and nothing needs a reset. ``backward`` on a scalar
 loss runs the operations reachable from the loss in exact reverse execution
 order and accumulates gradients into the leaves.
 
+Model layers map onto few, coarse ops: ``matmul`` is a dense layer over one
+chosen axis, ``layer_norm`` normalizes one chosen axis, and ``attention`` is
+a whole multi-head softmax attention. Each is one recorded node and copies
+no operand into a permuted layout.
+
 The engine refuses to propagate NaN/Inf: any operation whose result is
 non-finite raises ``NonFiniteError`` instead of returning garbage.
 """
@@ -292,74 +297,6 @@ def mul(a, b) -> Tensor:
 # matmul
 # ---------------------------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None, axis: int | None = None) -> Tensor:
-    """Matrix product in one of two forms.
-
-    ``matmul(a, b)`` is the batched product with numpy's stacking rules on
-    leading extents.
-
-    ``matmul(x, weight, bias, axis)`` is a dense layer with ``weight`` of shape
-    (out, in) and ``bias`` of shape (out,). ``axis=-1`` maps the trailing
-    extent, y = x W^T + b; ``axis=-2`` maps the second-to-last extent,
-    y = W x + b[:, None]. Either way it is one recorded op, and its vjp returns
-    dx, dW and db with dW from a single GEMM.
-    """
-    if axis is not None:
-        return _dense(a, b, bias, axis)
-    if bias is not None:
-        raise UsageError("a bias needs the dense form: pass axis=-1 or axis=-2")
-    a = _as_tensor(a, None)
-    b = _as_tensor(b, a.dtype)
-    if a.ndim == 0 or b.ndim == 0:
-        raise ShapeError("matmul needs operands of rank >= 1")
-    a_rows = a.shape[-2] if a.ndim >= 2 else 1
-    a_inner = a.shape[-1]
-    b_inner = b.shape[-2] if b.ndim >= 2 else b.shape[-1]
-    b_cols = b.shape[-1] if b.ndim >= 2 else 1
-    if a_inner != b_inner:
-        raise ShapeError(f"matmul inner extents differ: {a.shape} x {b.shape}")
-    lead_a = a.shape[:-2] if a.ndim >= 2 else ()
-    lead_b = b.shape[:-2] if b.ndim >= 2 else ()
-    if not _broadcastable(lead_a, lead_b):
-        raise ShapeError(f"matmul batch extents differ: {a.shape} x {b.shape}")
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            data = np.matmul(a.data, b.data)
-    except ValueError as exc:  # pragma: no cover - guarded above
-        raise ShapeError(str(exc)) from exc
-    batch = 1
-    for ext in np.broadcast_shapes(lead_a, lead_b):
-        batch *= ext
-    _note_macs(batch * a_rows * a_inner * b_cols)
-    out = Tensor._make(data, "matmul")
-    a_data, b_data = a.data, b.data
-    a_vec, b_vec = a.ndim == 1, b.ndim == 1
-
-    def vjp(g):
-        g_mat = g
-        if a_vec and b_vec:
-            g_mat = g.reshape(1, 1)
-        elif a_vec:
-            g_mat = np.expand_dims(g, -2)
-        elif b_vec:
-            g_mat = np.expand_dims(g, -1)
-        a_mat = a_data.reshape(1, -1) if a_vec else a_data
-        b_mat = b_data.reshape(-1, 1) if b_vec else b_data
-        ga = np.matmul(g_mat, np.swapaxes(b_mat, -1, -2))
-        gb = np.matmul(np.swapaxes(a_mat, -1, -2), g_mat)
-        if a_vec:
-            ga = ga.reshape(a_data.shape)
-        else:
-            ga = _unbroadcast(ga, a_data.shape)
-        if b_vec:
-            gb = gb.reshape(b_data.shape)
-        else:
-            gb = _unbroadcast(gb, b_data.shape)
-        return ga, gb
-
-    return _record(out, (a, b), vjp)
-
-
 def _fold_rows(t: np.ndarray) -> np.ndarray:
     """(N, n, C) -> (n, N*C): the mapped extent first, every other one folded."""
     return np.swapaxes(t, 0, 1).reshape(t.shape[1], -1)
@@ -384,7 +321,13 @@ def _sum_except(a: np.ndarray, axis: int) -> np.ndarray:
     return (stacked @ np.ones(a.shape[-1], dtype=a.dtype)).sum(axis=0)
 
 
-def _dense(x: Tensor, weight: Tensor, bias: Tensor, axis: int) -> Tensor:
+def matmul(x: Tensor, weight: Tensor, bias: Tensor, axis: int) -> Tensor:
+    """Dense layer: ``weight`` of shape (out, in) and ``bias`` of shape (out,).
+
+    ``axis=-1`` maps the trailing extent, y = x W^T + b; ``axis=-2`` maps the
+    second-to-last extent, y = W x + b[:, None]. Either way it is one recorded
+    op, and its vjp returns dx, dW and db with dW from a single GEMM.
+    """
     if axis not in (-1, -2):
         raise ShapeError(f"dense axis must be -1 or -2, got {axis}")
     if bias is None:
@@ -445,14 +388,6 @@ def permute(x: Tensor, axes: tuple[int, ...]) -> Tensor:
         return (np.ascontiguousarray(np.transpose(g, inverse)),)
 
     return _record(out, (x,), vjp)
-
-
-def permute_last_two(x: Tensor) -> Tensor:
-    """Swap the trailing two extents: out[..., j, i] == x[..., i, j]."""
-    if x.ndim < 2:
-        raise ShapeError("permute_last_two needs rank >= 2")
-    axes = tuple(range(x.ndim - 2)) + (x.ndim - 1, x.ndim - 2)
-    return permute(x, axes)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -677,20 +612,6 @@ def sigmoid(x: Tensor) -> Tensor:
     return _record(out, (x,), vjp)
 
 
-def softmax_last(x: Tensor) -> Tensor:
-    """Softmax over the trailing extent."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor._make(s, "softmax")
-
-    def vjp(g):
-        inner = (g * s).sum(axis=-1, keepdims=True)
-        return (s * (g - inner),)
-
-    return _record(out, (x,), vjp)
-
-
 def layer_norm(x: Tensor, normalized_extent: int, gain: Tensor, bias: Tensor,
                eps: float = 1e-6, axis: int = -1) -> Tensor:
     """Normalize one extent (the trailing one, or with ``axis=-2`` the one
@@ -733,6 +654,63 @@ def layer_norm(x: Tensor, normalized_extent: int, gain: Tensor, bias: Tensor,
         return dx, d_gain, d_bias
 
     return _record(out, (x, gain, bias), vjp)
+
+
+# ---------------------------------------------------------------------------
+# attention
+# ---------------------------------------------------------------------------
+
+def _split_heads(t: np.ndarray, heads: int) -> np.ndarray:
+    """(B, L, D) -> a (B, heads, L, D / heads) view; head h holds channels
+    [h * D / heads, (h + 1) * D / heads)."""
+    batch, seq, dim = t.shape
+    return t.reshape(batch, seq, heads, dim // heads).transpose(0, 2, 1, 3)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Multi-head softmax attention over (B, L, D) queries, keys and values.
+
+    Per head, out = softmax(q k^T / sqrt(D / heads)) v over the key axis.
+    Heads are split and joined as strided views of the (B, L, D) arrays, so
+    nothing is copied into a head-major layout. One recorded op; its vjp
+    returns dq, dk and dv in (B, L, D) layout. It counts 2 * B * L^2 * D
+    MACs: the logits and the weighted sum of values.
+    """
+    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
+        raise ShapeError(f"attention needs equal (B, L, D) operands, got "
+                         f"{q.shape}, {k.shape} and {v.shape}")
+    batch, seq, dim = q.shape
+    if heads < 1 or dim % heads:
+        raise ShapeError(f"embed_dim {dim} does not split into {heads} heads")
+    q_h, k_h, v_h = (_split_heads(t.data, heads) for t in (q, k, v))
+    scale = np.asarray(1.0 / math.sqrt(dim // heads), dtype=q.dtype)
+    _note_macs(2 * batch * seq * seq * dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = np.matmul(q_h, k_h.swapaxes(-1, -2))
+        weights *= scale
+    _check_finite(weights, "attention")
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    y = np.empty_like(q.data)
+    np.matmul(weights, v_h, out=_split_heads(y, heads))
+    out = Tensor._make(y, "attention")
+
+    def vjp(g):
+        g_h = _split_heads(g, heads)
+        dv = np.empty_like(g)
+        np.matmul(weights.swapaxes(-1, -2), g_h, out=_split_heads(dv, heads))
+        # softmax backward, then the logit scale
+        d_logits = np.matmul(g_h, v_h.swapaxes(-1, -2))
+        d_logits -= (d_logits * weights).sum(axis=-1, keepdims=True)
+        d_logits *= weights
+        d_logits *= scale
+        dq, dk = np.empty_like(g), np.empty_like(g)
+        np.matmul(d_logits, k_h, out=_split_heads(dq, heads))
+        np.matmul(d_logits.swapaxes(-1, -2), q_h, out=_split_heads(dk, heads))
+        return dq, dk, dv
+
+    return _record(out, (q, k, v), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -808,6 +786,7 @@ __all__ = [
     "Tensor",
     "UsageError",
     "add",
+    "attention",
     "backward",
     "concat",
     "count_macs",
@@ -820,10 +799,8 @@ __all__ = [
     "no_grad",
     "pad2d",
     "permute",
-    "permute_last_two",
     "reshape",
     "sigmoid",
-    "softmax_last",
     "sub",
     "tensor_mean",
     "tensor_sum",

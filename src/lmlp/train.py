@@ -72,6 +72,10 @@ def run_training(config: RunConfig, resume: str | None = None) -> TrainResult:
             if ours != stored:
                 raise ConfigError(f"cannot resume from {resume}: {key} is {ours!r} "
                                   f"here but {stored!r} in the checkpoint")
+        if config.train_steps < snapshot.step:
+            raise ConfigError(f"cannot resume from {resume}: train_steps is "
+                              f"{config.train_steps} here but the checkpoint is at "
+                              f"step {snapshot.step}")
         model = restore_model(snapshot)
         optimizer = restore_optimizer(snapshot, model, lr=config.learning_rate,
                                       betas=(config.beta1, config.beta2),
@@ -96,8 +100,10 @@ def run_training(config: RunConfig, resume: str | None = None) -> TrainResult:
     with open(log_path, "a") as log:
         if new_log:
             print(LOG_HEADER, file=log)
-        if start_step == 0 and config.train_steps == 0:
-            save_checkpoint(out_dir / checkpoint_name(0), config, model, 0, optimizer)
+        if start_step == config.train_steps:
+            # nothing to train: still leave the final checkpoint the result names
+            save_checkpoint(out_dir / checkpoint_name(start_step), config, model,
+                            start_step, optimizer)
         for step in range(start_step, config.train_steps):
             rng = np.random.default_rng((config.seed, step))
             optimizer.zero_grad()
@@ -121,7 +127,7 @@ def run_training(config: RunConfig, resume: str | None = None) -> TrainResult:
             if done % config.checkpoint_every == 0 or done == config.train_steps:
                 save_checkpoint(out_dir / checkpoint_name(done), config, model,
                                 done, optimizer)
-    final = out_dir / checkpoint_name(max(config.train_steps, 0))
+    final = out_dir / checkpoint_name(config.train_steps)
     return TrainResult(final_checkpoint=final, log_path=log_path, losses=losses)
 
 

@@ -31,8 +31,9 @@ class TestBench:
         assert path.read_text().startswith("name,L,D,s,macs,params,mp_ratio")
 
     def test_measure_reports_exact_match(self, capsys):
-        assert main(["bench", "--measure", "D2:6:8:2"]) == 0
-        assert "exact=yes" in capsys.readouterr().out
+        for spec in ("D2:6:8:2", "TRANSFORMER:6:128:2"):
+            assert main(["bench", "--measure", spec]) == 0
+            assert "exact=yes" in capsys.readouterr().out, spec
 
     def test_no_arguments_is_usage_error(self, capsys):
         assert main(["bench"]) == 2
@@ -93,6 +94,17 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert "train_timesteps is 100 here but 1000" in err and err.count("\n") == 1
 
+    def test_resume_past_train_steps_exits_2(self, trained_checkpoint, tmp_path, capsys):
+        code = main(["train", "--image-side", "8", "--embed-dim", "8", "--depth", "2",
+                     "--text-tokens", "3", "--mlp-scale", "2.0", "--num-samples", "8",
+                     "--train-steps", "1", "--batch-size", "2", "--warmup-steps", "1",
+                     "--checkpoint-every", "2",
+                     "--out-dir", str(tmp_path / "r"), "--resume", str(trained_checkpoint)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "train_steps is 1 here but the checkpoint is at step 2" in err
+        assert err.count("\n") == 1
+
     def test_show_config_round_trips(self, capsys):
         assert main(["show-config", "--seed", "9"]) == 0
         out = capsys.readouterr().out
@@ -102,13 +114,22 @@ class TestTrainCommand:
         assert main(["train", "--config", "/no/such/file.cfg"]) == 1
 
     @pytest.mark.parametrize("flag, value", [("--depth", "0"), ("--patch", "3"),
-                                             ("--preset", "ZZ")])
+                                             ("--preset", "ZZ"), ("--text-tokens", "2"),
+                                             ("--image-side", "4")])
     def test_bad_model_config_exits_2(self, tmp_path, capsys, flag, value):
         code = main(["train", flag, value, "--train-steps", "1",
                      "--out-dir", str(tmp_path / "t")])
         assert code == 2
         err = capsys.readouterr().err
-        assert flag[2:] in err and err.count("\n") == 1
+        assert flag[2:].replace("-", "_") in err and err.count("\n") == 1
+        assert not (tmp_path / "t").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--text-tokens", "2"), ("--image-side", "4")])
+    def test_show_config_rejects_bad_data_keys(self, capsys, flag, value):
+        assert main(["show-config", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag[2:].replace("-", "_") in captured.err and captured.err.count("\n") == 1
 
 
 class TestSampleCommand:
@@ -170,6 +191,16 @@ class TestSampleCommand:
                      "--out-dir", str(tmp_path / "s")])
         assert code == 2
         assert "warp-speed" in capsys.readouterr().err
+
+    def test_over_long_caption_exits_2(self, trained_checkpoint, tmp_path, capsys):
+        captions = tmp_path / "long.txt"
+        captions.write_text("square center bright dim\n")
+        code = main(["sample", "--checkpoint", str(trained_checkpoint),
+                     "--captions", str(captions), "--steps", "2",
+                     "--out-dir", str(tmp_path / "s")])
+        assert code == 2
+        assert "'square center bright dim' has 4 words" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
 
 class TestInspectCommand:

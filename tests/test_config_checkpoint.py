@@ -21,7 +21,7 @@ from lmlp.optim import AdamW, warmup_lr
 
 
 def tiny_config(**overrides):
-    base = dict(image_side=4, embed_dim=8, depth=2, text_tokens=2, mlp_scale=2.0,
+    base = dict(image_side=8, embed_dim=8, depth=2, text_tokens=3, mlp_scale=2.0,
                 num_samples=16, train_steps=4, batch_size=2, warmup_steps=2,
                 checkpoint_every=2)
     base.update(overrides)
@@ -237,9 +237,10 @@ class TestMalformedCheckpoint:
         _config_text(b"depth = 2", b"depth = 0"), _config_text(b"patch = 2", b"patch = 3"),
         _config_text(b"preset = F2", b"preset = ZZ"),
         _config_text(b"caption_keep_prob = 0.9", b"caption_keep_prob = 9.0"),
+        _config_text(b"text_tokens = 3", b"text_tokens = 2"),
     ], ids=["bad-utf8-config", "bad-utf8-name", "garbage-config", "trailing-bytes",
             "nan-value", "inf-value", "zero-depth", "patch-not-dividing", "unknown-preset",
-            "keep-prob-above-one"])
+            "keep-prob-above-one", "caption-longer-than-text-tokens"])
     def test_raises_checkpoint_error(self, tmp_path, corrupt):
         config = tiny_config()
         model = build_model(config.backbone_config(), config.seed, dtype=np.float32)

@@ -29,6 +29,10 @@ class TestVocabulary:
         with pytest.raises(T.UsageError, match="banana"):
             encode_caption(["banana"], 4)
 
+    def test_encode_over_long_caption_names_it(self):
+        with pytest.raises(T.UsageError, match="'square center bright' has 3 words"):
+            encode_caption(["square", "center", "bright"], 2)
+
     def test_roundtrip(self):
         words = ["disk", "top-right", "dim"]
         assert decode_caption(encode_caption(words, 4)) == words

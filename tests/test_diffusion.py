@@ -168,16 +168,18 @@ class TestTrainingLoss:
 
 
     def test_desk_step_records_at_most_64_graph_nodes(self):
-        """F2 at the desk defaults (depth 4, L=21, D=64): one node per dense
-        layer, norm, activation and residual add, and no permutes."""
-        config = RunConfig()
-        model = build_model(config.backbone_config(), 0, dtype=np.float32)
-        rng = np.random.default_rng(0)
-        x0 = rng.standard_normal((2, 1, config.image_side, config.image_side))
-        ids = np.ones((2, config.text_tokens), dtype=int)
-        loss = training_loss(model, x0, ids, config.noise_schedule(),
-                             config.guidance_config(), rng)
-        assert len(T._graph_nodes(loss)) <= 64
+        """F2 and TRANSFORMER at the desk defaults (depth 4, L=21, D=64): one
+        node per dense layer, norm, activation, attention and residual add,
+        and no permutes."""
+        for preset in ("F2", "TRANSFORMER"):
+            config = RunConfig(preset=preset)
+            model = build_model(config.backbone_config(), 0, dtype=np.float32)
+            rng = np.random.default_rng(0)
+            x0 = rng.standard_normal((2, 1, config.image_side, config.image_side))
+            ids = np.ones((2, config.text_tokens), dtype=int)
+            loss = training_loss(model, x0, ids, config.noise_schedule(),
+                                 config.guidance_config(), rng)
+            assert len(T._graph_nodes(loss)) <= 64, preset
 
     def test_desk_step_graph_keeps_at_most_11_mb(self):
         """The loss of one F2 desk step (B=32, float32) keeps alive only what

@@ -14,6 +14,10 @@ def rand(shape, seed, requires_grad=False):
     return T.Tensor(rng.standard_normal(shape), requires_grad=requires_grad)
 
 
+def swap_last_two(x):
+    return T.permute(x, tuple(range(x.ndim - 2)) + (x.ndim - 1, x.ndim - 2))
+
+
 class TestConstruction:
     def test_shape_data_consistency(self):
         x = T.Tensor([[1.0, 2.0], [3.0, 4.0]])
@@ -38,49 +42,23 @@ class TestConstruction:
 class TestPermute:
     def test_two_by_two(self):
         x = T.Tensor([[[1.0, 2.0], [3.0, 4.0]]])
-        out = T.permute_last_two(x)
+        out = T.permute(x, (0, 2, 1))
         assert np.array_equal(out.data, [[[1.0, 3.0], [2.0, 4.0]]])
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_involution(self, seed):
         x = rand((2, 3, 5), seed)
-        twice = T.permute_last_two(T.permute_last_two(x))
+        twice = T.permute(T.permute(x, (0, 2, 1)), (0, 2, 1))
         assert np.array_equal(twice.data, x.data)
 
     def test_gradient_of_sum_is_ones(self):
         x = rand((2, 3, 4), 0, requires_grad=True)
-        T.permute_last_two(x).sum().backward()
+        T.permute(x, (2, 0, 1)).sum().backward()
         assert np.array_equal(x.grad, np.ones((2, 3, 4)))
 
     def test_rank_one_rejected(self):
         with pytest.raises(T.ShapeError):
-            T.permute_last_two(T.Tensor([1.0, 2.0]))
-
-
-class TestMatmul:
-    def test_identity_times_vector(self):
-        v = np.array([3.0, -1.0, 2.0])
-        out = T.matmul(T.Tensor(np.eye(3)), T.Tensor(v))
-        assert np.allclose(out.data, v)
-
-    def test_hand_arithmetic(self):
-        out = T.matmul(T.Tensor([[1.0, 2.0], [3.0, 4.0]]), T.Tensor([[1.0], [1.0]]))
-        assert np.array_equal(out.data, [[3.0], [7.0]])
-
-    def test_inner_mismatch(self):
-        with pytest.raises(T.ShapeError):
-            T.matmul(rand((2, 3), 0), rand((4, 2), 1))
-
-    def test_gradient_against_finite_differences(self):
-        a = rand((4, 5), 10, requires_grad=True)
-        b = rand((5, 3), 11, requires_grad=True)
-        err = check_gradients(lambda: T.matmul(a, b).sum(), [a, b], tol=1e-6)
-        assert err <= 1e-6
-
-    def test_batched_gradient(self):
-        a = rand((2, 3, 4), 12, requires_grad=True)
-        b = rand((4, 4), 13, requires_grad=True)
-        check_gradients(lambda: (T.matmul(a, b) * T.matmul(a, b)).sum(), [a, b])
+            T.permute(T.Tensor([1.0, 2.0]), (1, 0))
 
 
 def dense_params(out_dim, in_dim, seed):
@@ -151,9 +129,10 @@ class TestDense:
             T.matmul(rand((2, 3), 76), w, T.Tensor(np.zeros(3)), -1)
 
     def test_bias_without_axis_rejected(self):
+        """The dense form needs its bias."""
         w, b = dense_params(4, 3, 77)
         with pytest.raises(T.UsageError):
-            T.matmul(rand((2, 3), 78), T.permute_last_two(w), b)
+            T.matmul(rand((2, 3), 78), w, None, -1)
 
 
 class TestLayerNorm:
@@ -201,7 +180,7 @@ class TestLayerNorm:
         g = T.Tensor(np.random.default_rng(24).standard_normal(8))
         b = T.Tensor(np.random.default_rng(25).standard_normal(8))
         along = T.layer_norm(x, 8, g, b, axis=-2)
-        permuted = T.permute_last_two(T.layer_norm(T.permute_last_two(x), 8, g, b))
+        permuted = swap_last_two(T.layer_norm(swap_last_two(x), 8, g, b))
         assert np.allclose(along.data, permuted.data, rtol=0, atol=1e-12)
 
     def test_token_axis_gradient_against_finite_differences(self):
@@ -221,6 +200,72 @@ class TestLayerNorm:
         g, b = self.gains(8)
         with pytest.raises(T.ShapeError):
             T.layer_norm(T.Tensor(np.zeros(shape)), 8, g, b, axis=axis)
+
+
+def permute_attention(q, k, v, heads):
+    """Reference in plain numpy: heads copied into a head-major layout."""
+    batch, seq, dim = q.shape
+    head_dim = dim // heads
+
+    def split(t):
+        return np.ascontiguousarray(t.reshape(batch, seq, heads, head_dim).transpose(0, 2, 1, 3))
+
+    logits = split(q) @ np.ascontiguousarray(np.swapaxes(split(k), -1, -2))
+    logits /= math.sqrt(head_dim)
+    weights = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    weights /= weights.sum(axis=-1, keepdims=True)
+    return (weights @ split(v)).transpose(0, 2, 1, 3).reshape(batch, seq, dim)
+
+
+class TestAttention:
+    @staticmethod
+    def operands(seed, shape=(2, 5, 6)):
+        return [rand(shape, seed + i, requires_grad=True) for i in range(3)]
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_equals_permute_formulation(self, heads):
+        q, k, v = self.operands(80)
+        out = T.attention(q, k, v, heads)
+        expected = permute_attention(q.data, k.data, v.data, heads)
+        assert np.allclose(out.data, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_gradients_against_finite_differences(self, heads):
+        q, k, v = self.operands(83)
+        w = rand(q.shape, 86)
+
+        def loss():
+            out = T.attention(q, k, v, heads)
+            return (out * w).sum() + (out * out).mean()
+
+        err = check_gradients(loss, [q, k, v], tol=1e-6)
+        assert err <= 1e-6
+
+    def test_macs_are_two_b_l_squared_d(self):
+        q, k, v = self.operands(87, shape=(3, 7, 4))
+        with T.count_macs() as counter:
+            T.attention(q, k, v, 2)
+        assert counter.total == 2 * 3 * 7 * 7 * 4
+
+    def test_one_graph_node_per_call(self):
+        q, k, v = self.operands(88)
+        assert len(T._graph_nodes(T.attention(q, k, v, 2))) == 1
+
+    @pytest.mark.parametrize("shapes, heads", [
+        ([(2, 5, 6)] * 3, 4),                       # D % heads != 0
+        ([(2, 5, 6)] * 3, 0),
+        ([(2, 5, 6), (2, 4, 6), (2, 4, 6)], 1),     # key length differs
+        ([(2, 5, 6), (2, 5, 6), (2, 5, 3)], 1),     # value width differs
+        ([(5, 6)] * 3, 1),                          # not (B, L, D)
+    ])
+    def test_bad_operands_rejected(self, shapes, heads):
+        with pytest.raises(T.ShapeError):
+            T.attention(*(rand(shape, 89 + i) for i, shape in enumerate(shapes)), heads)
+
+    def test_infinite_logit_raises(self):
+        q = T.Tensor(np.full((1, 2, 2), 1e200))
+        with pytest.raises(T.NonFiniteError, match="attention produced a non-finite value"):
+            T.attention(q, q, q, 1)
 
 
 class TestGelu:
@@ -310,16 +355,6 @@ class TestElementwise:
         out = T.sigmoid(T.Tensor([-1000.0, 1000.0]))
         assert np.allclose(out.data, [0.0, 1.0])
 
-    def test_softmax_rows_sum_to_one(self):
-        x = rand((3, 7), 44)
-        out = T.softmax_last(x)
-        assert np.abs(out.data.sum(axis=-1) - 1.0).max() < 1e-12
-
-    def test_softmax_gradient(self):
-        x = rand((2, 5), 45, requires_grad=True)
-        w = np.random.default_rng(46).standard_normal((2, 5))
-        check_gradients(lambda: (T.softmax_last(x) * T.Tensor(w)).sum(), [x])
-
 
 class TestBackward:
     def test_sum_gradient_is_ones(self):
@@ -400,13 +435,16 @@ class TestBackward:
         x = rand((3, 4), 91)
 
         def params(seed):
-            return [rand((4, 4), seed + i, requires_grad=True) for i in range(3)]
+            """Weight and bias of three dense layers."""
+            return [rand(shape, seed + i, requires_grad=True)
+                    for i, shape in enumerate([(4, 4), (4,)] * 3)]
 
         def losses(*param_sets):
             """One loss per parameter set, their ops interleaved layer by layer."""
             hs = [x] * len(param_sets)
             for layer in range(3):
-                hs = [T.gelu(T.matmul(h, ps[layer])) + h for h, ps in zip(hs, param_sets)]
+                hs = [T.gelu(T.matmul(h, ps[2 * layer], ps[2 * layer + 1], -1)) + h
+                      for h, ps in zip(hs, param_sets)]
             return [h.sum() for h in hs]
 
         solo = []
@@ -482,17 +520,18 @@ class TestEngineInvariants:
         """Mixed pipeline exercising most ops against the finite-difference oracle."""
         x = rand((2, 4, 6), seed, requires_grad=True)
         w = rand((6, 6), seed + 100, requires_grad=True)
+        c = rand((6,), seed + 200, requires_grad=True)
         g = T.Tensor(np.ones(6), requires_grad=True)
         b = T.Tensor(np.zeros(6), requires_grad=True)
 
         def loss():
-            h = T.matmul(x, w)
+            h = T.matmul(x, w, c, -1)
             h = T.gelu(h)
             h = T.layer_norm(h, 6, g, b)
-            h = T.permute_last_two(h)
+            h = T.permute(h, (0, 2, 1))
             return (h * h).mean()
 
-        check_gradients(loss, [x, w, g, b])
+        check_gradients(loss, [x, w, c, g, b])
 
     def test_non_finite_result_raises(self):
         big = T.Tensor(np.full((2, 2), 1e308))
@@ -500,8 +539,9 @@ class TestEngineInvariants:
             big * big  # noqa: B018 - evaluated for the raise
 
     def test_mac_counter_counts_matmul_contractions(self):
+        w, b = dense_params(2, 5, 71)
         with T.count_macs() as counter:
-            T.matmul(rand((3, 4, 5), 70), rand((5, 2), 71))
+            T.matmul(rand((3, 4, 5), 70), w, b, -1)
         assert counter.total == 3 * 4 * 5 * 2
 
     def test_finite_difference_oracle_self_check(self):

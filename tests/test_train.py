@@ -117,6 +117,26 @@ class TestResumeConfig:
         with pytest.raises(ConfigError, match=f"{key} is {value!r} here but"):
             run_training(config, resume=half_run)
 
+    def test_train_steps_below_the_checkpoint_step_is_refused(self, half_run):
+        run_dir = half_run.parent
+        log = (run_dir / "loss_log.csv").read_text()
+        config = tiny_config(run_dir, train_steps=1)
+        with pytest.raises(ConfigError, match="train_steps is 1 here but the checkpoint "
+                                              "is at step 2"):
+            run_training(config, resume=half_run)
+        assert (run_dir / "loss_log.csv").read_text() == log
+        assert not (run_dir / checkpoint_name(1)).exists()
+
+    def test_resume_at_the_target_step_leaves_the_final_checkpoint(self, tmp_path, half_run):
+        result = run_training(tiny_config(tmp_path / "resumed", train_steps=2),
+                              resume=half_run)
+        assert result.losses == []
+        assert result.final_checkpoint == tmp_path / "resumed" / checkpoint_name(2)
+        saved, stored = load_checkpoint(result.final_checkpoint), load_checkpoint(half_run)
+        assert saved.step == 2
+        for name in stored.params:
+            assert np.array_equal(saved.params[name], stored.params[name]), name
+
     def test_run_and_optimizer_keys_may_differ(self, tmp_path, half_run):
         config = tiny_config(tmp_path / "resumed", train_steps=3, checkpoint_every=1,
                              learning_rate=1e-4, weight_decay=0.0, beta1=0.8)
