@@ -1,6 +1,7 @@
 """U-shaped token backbone: patch embedding, [time | text | image] token
 assembly, a stack of blocks whose encoder/decoder halves are tied by additive
-long skip connections, and a linear head mapping image tokens back to pixels.
+long skip connections, and a linear head mapping image tokens back to pixels,
+optionally followed by a 3x3 convolution.
 
 The network predicts the noise component of its input, so input and output
 share the B x C x H x W layout.
@@ -21,6 +22,7 @@ from .blocks import (
     preset_config,
     trunc_normal,
 )
+from .diffusion import check_timesteps
 from .tensor import Tensor
 
 SKIP_MODES = ("none", "first_stage", "second_stage")
@@ -74,7 +76,7 @@ def sinusoidal_encoding(t: np.ndarray, dim: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# configuration and token bookkeeping
+# configuration
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -123,26 +125,6 @@ class BackboneConfig:
             raise ConfigError(str(exc)) from exc
 
 
-@dataclass
-class TokenSequence:
-    """B x L x D tokens plus the index ranges of the three modalities."""
-
-    tensor: Tensor
-    text_tokens: int
-
-    @property
-    def time_range(self) -> tuple[int, int]:
-        return (0, 1)
-
-    @property
-    def text_range(self) -> tuple[int, int]:
-        return (1, 1 + self.text_tokens)
-
-    @property
-    def image_range(self) -> tuple[int, int]:
-        return (1 + self.text_tokens, self.tensor.shape[1])
-
-
 # ---------------------------------------------------------------------------
 # model
 # ---------------------------------------------------------------------------
@@ -174,22 +156,11 @@ class UlMlpModel:
             self.head_conv_bias = None
 
     # -- embedding ----------------------------------------------------------
-    def _check_timesteps(self, t: np.ndarray) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(t))
-        if not np.issubdtype(t.dtype, np.integer):
-            raise T.UsageError("timesteps must be integers")
-        if t.size and (t.min() < 0 or t.max() >= self.config.num_timesteps):
-            raise T.UsageError(
-                f"timestep out of range [0, {self.config.num_timesteps})"
-            )
-        return t
-
     def embed_timestep(self, t) -> Tensor:
         """(B,) steps -> (B, 1, D) time tokens."""
-        t = self._check_timesteps(t)
+        t = check_timesteps(t, self.config.num_timesteps)
         enc = sinusoidal_encoding(t, self.config.embed_dim).astype(self.dtype)
-        out = self.time_embed(Tensor(enc))
-        return T.reshape(out, (t.size, 1, self.config.embed_dim))
+        return self.time_embed(Tensor(enc[:, None, :]))
 
     def embed_text(self, text_ids: np.ndarray) -> Tensor:
         text_ids = np.asarray(text_ids)
@@ -199,34 +170,37 @@ class UlMlpModel:
             )
         return T.gather_rows(self.text_embed, text_ids)
 
-    def assemble_tokens(self, img_tokens: Tensor, text_ids: np.ndarray, t) -> TokenSequence:
-        """Concatenate [time | text | image] embeddings into one sequence."""
+    def assemble_tokens(self, img_tokens: Tensor, text_ids: np.ndarray, t) -> Tensor:
+        """Join [time | text | image] embeddings into one B x L x D sequence:
+        the time token, then ``text_tokens`` text tokens, then the image."""
         time_tok = self.embed_timestep(t)
         text_tok = self.embed_text(text_ids)
-        joined = T.concat([time_tok, text_tok, img_tokens], axis=1)
-        return TokenSequence(joined, self.config.text_tokens)
+        return T.concat([time_tok, text_tok, img_tokens], axis=1)
 
     # -- forward ------------------------------------------------------------
     def run_blocks(self, x: Tensor) -> Tensor:
-        depth = self.config.depth
-        mode = self.config.skip_mode
-        half = depth // 2
-        stored: dict[int, Tensor] = {}
+        """Decoder block ``depth - 1 - i`` takes encoder block i's output as a
+        long skip, for i < depth // 2: added to the block's input
+        (``first_stage``) or by the block where its second stage begins
+        (``second_stage``)."""
+        depth, mode = self.config.depth, self.config.skip_mode
+        half = 0 if mode == "none" else depth // 2
+        encoded: list[Tensor] = []
         for index, block in enumerate(self.blocks):
-            skip = None
-            source = depth - 1 - index
-            if mode != "none" and source < half and index >= depth - half:
-                skip = stored.pop(source)
-            x = block.forward(x, skip=skip, skip_stage=mode)
-            if mode != "none" and index < half:
-                stored[index] = x
+            skip = encoded.pop() if index >= depth - half else None
+            if skip is not None and mode == "first_stage":
+                x, skip = x + skip, None
+            x = block.forward(x, skip=skip)
+            if index < half:
+                encoded.append(x)
         return x
 
-    def output_head(self, tokens: TokenSequence) -> Tensor:
-        """Project image-range tokens back to B x C x H x W."""
+    def output_head(self, tokens: Tensor) -> Tensor:
+        """Project the image tokens (after the time and text tokens) back to
+        B x C x H x W."""
         cfg = self.config
-        start, stop = tokens.image_range
-        img = T.narrow(tokens.tensor, 1, start, stop - start)
+        start = 1 + cfg.text_tokens
+        img = T.narrow(tokens, 1, start, tokens.shape[1] - start)
         pixels = self.head(img)
         out = unpatchify(pixels, cfg.image_side, cfg.in_channels, cfg.patch)
         if self.head_conv_weight is not None:
@@ -234,15 +208,18 @@ class UlMlpModel:
         return out
 
     def _conv3x3(self, img: Tensor) -> Tensor:
-        side = self.config.image_side
-        padded = T.permute(T.pad2d(img, 1), (0, 2, 3, 1))  # B, H+2, W+2, C
-        windows = [
-            T.narrow(T.narrow(padded, 1, di, side), 2, dj, side)
-            for di in range(3)
-            for dj in range(3)
-        ]
-        stacked = T.concat(windows, axis=-1)  # B, H, W, 9C
-        mixed = T.matmul(stacked, self.head_conv_weight, self.head_conv_bias, -1)
+        """Zero-padded 3x3 convolution: one row lookup gathers every window."""
+        batch, channels, side, _ = img.shape
+        size = img.size
+        b, i, j, k, c = np.ogrid[:batch, :side, :side, :9, :channels]
+        row, col = i + k // 3 - 1, j + k % 3 - 1
+        inside = (row >= 0) & (row < side) & (col >= 0) & (col < side)
+        # Index into the flattened image; taps off the image read the zero row.
+        ids = np.where(inside, ((b * channels + c) * side + row) * side + col, size)
+        zero = Tensor(np.zeros((1, 1), dtype=img.dtype))
+        table = T.concat([T.reshape(img, (size, 1)), zero], axis=0)
+        windows = T.reshape(T.gather_rows(table, ids), (batch, side, side, 9 * channels))
+        mixed = T.matmul(windows, self.head_conv_weight, self.head_conv_bias, -1)
         return T.permute(mixed, (0, 3, 1, 2))
 
     def forward(self, x_t: Tensor, text_ids: np.ndarray, t) -> Tensor:
@@ -257,10 +234,8 @@ class UlMlpModel:
         t = np.atleast_1d(np.asarray(t))
         if t.size == 1 and x_t.shape[0] > 1:
             t = np.full(x_t.shape[0], t[0])
-        seq = self.assemble_tokens(img_tokens, text_ids, t)
-        mixed = self.run_blocks(seq.tensor)
-        normed = self.final_norm(mixed)
-        return self.output_head(TokenSequence(normed, cfg.text_tokens))
+        mixed = self.run_blocks(self.assemble_tokens(img_tokens, text_ids, t))
+        return self.output_head(self.final_norm(mixed))
 
     __call__ = forward
 
@@ -292,7 +267,6 @@ __all__ = [
     "ConfigError",
     "HEAD_KINDS",
     "SKIP_MODES",
-    "TokenSequence",
     "UlMlpModel",
     "build_model",
     "patchify",

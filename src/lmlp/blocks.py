@@ -7,6 +7,8 @@ channel MLP. Every layer takes the axis it maps, so no block copies its
 input into a permuted layout. Named presets cover the full design-variant
 grid plus token-mixing, gated-MLP and self-attention baselines behind the
 same interface, so backbones can swap block families with one config key.
+Every block's ``forward(x, skip=None)`` adds a given long skip where its
+second stage begins; which skip reaches which block is the backbone's choice.
 """
 
 from __future__ import annotations
@@ -176,7 +178,9 @@ _LMLP_AXES = {
     "E1": ("linear", "gelu", "product", "linear", "mlp"),
     "E2": ("linear", "gelu", "sum", "linear", "mlp"),
 }
-# Skip placement is a backbone concern; at block level these presets are D2.
+# All three name the D2 block. The paper's F-variants differ in skip placement,
+# depth and MLP scale, which the backbone keys skip_mode, depth and mlp_scale
+# set; the preset name selects none of them.
 _ALIASES = {"F1": "D2", "F2": "D2", "F2-DEEP": "D2"}
 _BASELINES = {"A2": "mixer", "A3": "gmlp", "TRANSFORMER": "transformer"}
 
@@ -237,11 +241,8 @@ class LmlpBlock:
             self.norm_2 = None
             self.fnn_c = None
 
-    def forward(self, x: Tensor, skip: Tensor | None = None,
-                skip_stage: str = "none") -> Tensor:
+    def forward(self, x: Tensor, skip: Tensor | None = None) -> Tensor:
         _check_tokens(x, self.cfg)
-        if skip is not None and skip_stage == "first_stage":
-            x = x + skip
         r = self.fnn_r(self.norm_r(x))
         left = self.fnn_l(self.norm_l(x))
         if self.cfg.merge_op == "sum":
@@ -252,7 +253,7 @@ class LmlpBlock:
             merged = left * T.sigmoid(r)
         z = self.merge_proj(merged) if self.merge_proj is not None else merged
         h = x + z
-        if skip is not None and skip_stage == "second_stage":
+        if skip is not None:
             h = h + skip
         if self.fnn_c is not None:
             return h + self.fnn_c(self.norm_2(h))
@@ -290,14 +291,11 @@ class TransformerBlock:
         self.norm_2 = LayerNorm(dim, dtype)
         self.mlp = MlpLayer(dim, mlp_hidden(dim, cfg.mlp_scale), rng, dtype)
 
-    def forward(self, x: Tensor, skip: Tensor | None = None,
-                skip_stage: str = "none") -> Tensor:
+    def forward(self, x: Tensor, skip: Tensor | None = None) -> Tensor:
         _check_tokens(x, self.cfg)
-        if skip is not None and skip_stage == "first_stage":
-            x = x + skip
         n = self.norm_1(x)
         h = x + self.w_o(T.attention(self.w_q(n), self.w_k(n), self.w_v(n), self.heads))
-        if skip is not None and skip_stage == "second_stage":
+        if skip is not None:
             h = h + skip
         return h + self.mlp(self.norm_2(h))
 
@@ -323,13 +321,10 @@ class MixerBlock:
         self.norm_2 = LayerNorm(dim, dtype)
         self.channel_mlp = MlpLayer(dim, mlp_hidden(dim, cfg.mlp_scale), rng, dtype)
 
-    def forward(self, x: Tensor, skip: Tensor | None = None,
-                skip_stage: str = "none") -> Tensor:
+    def forward(self, x: Tensor, skip: Tensor | None = None) -> Tensor:
         _check_tokens(x, self.cfg)
-        if skip is not None and skip_stage == "first_stage":
-            x = x + skip
         h = x + self.token_mlp(self.norm_1(x))
-        if skip is not None and skip_stage == "second_stage":
+        if skip is not None:
             h = h + skip
         return h + self.channel_mlp(self.norm_2(h))
 
@@ -361,16 +356,13 @@ class GmlpBlock:
         self.spatial = LinearLayer(seq, seq, rng, dtype, axis=-2)
         self.proj_out = LinearLayer(hidden, dim, rng, dtype)
 
-    def forward(self, x: Tensor, skip: Tensor | None = None,
-                skip_stage: str = "none") -> Tensor:
+    def forward(self, x: Tensor, skip: Tensor | None = None) -> Tensor:
         _check_tokens(x, self.cfg)
-        if skip is not None and skip_stage == "first_stage":
-            x = x + skip
         expanded = T.gelu(self.proj_in(self.norm_in(x)))
         u = T.narrow(expanded, -1, 0, self.hidden)
         v = self.norm_gate(T.narrow(expanded, -1, self.hidden, self.hidden))
         out = x + self.proj_out(u * self.spatial(v))
-        if skip is not None and skip_stage == "second_stage":
+        if skip is not None:
             out = out + skip
         return out
 

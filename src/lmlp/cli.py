@@ -93,11 +93,8 @@ def cmd_sample(args) -> int:
     for index in range(len(captions)):
         plane = np.clip((images[index] + 1.0) / 2.0, 0.0, 1.0)
         stem = f"sample_{index:03d}_seed{args.seed}_w{omega:g}"
-        if config.in_channels == 3:
-            pgm.write_ppm(out_dir / f"{stem}.ppm", pgm.to_bytes(np.moveaxis(plane, 0, -1)))
-        else:
-            # channel 0 as the viewable image; the CSV keeps every channel
-            pgm.write_pgm(out_dir / f"{stem}.pgm", pgm.to_bytes(plane[0]))
+        # the image file may show channel 0 only; the CSV keeps every channel
+        pgm.write_image(out_dir, stem, plane)
         np.savetxt(out_dir / f"{stem}.csv", images[index].reshape(config.in_channels, -1),
                    delimiter=",", fmt="%.8e")
     print(f"wrote {len(captions)} samples to {out_dir}")

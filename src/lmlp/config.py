@@ -5,6 +5,7 @@ canonical formatting, so parse -> serialize -> parse is a fixed point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from . import dataset
@@ -51,6 +52,9 @@ class RunConfig:
     num_samples: int = 2048
 
     def validate(self) -> None:
+        for key in _FLOAT_KEYS:
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, key)!r}")
         positive = ("train_steps", "batch_size", "warmup_steps", "checkpoint_every",
                     "grad_accumulation", "num_samples", "train_timesteps", "sample_steps")
         for key in positive:
@@ -76,8 +80,7 @@ class RunConfig:
         return NoiseSchedule(self.train_timesteps, self.beta_start, self.beta_end)
 
     def guidance_config(self) -> GuidanceConfig:
-        return GuidanceConfig(guidance_scale=self.guidance_scale,
-                              caption_keep_prob=self.caption_keep_prob,
+        return GuidanceConfig(caption_keep_prob=self.caption_keep_prob,
                               null_id=dataset.NULL_ID)
 
     def sampler_config(self) -> SamplerConfig:
@@ -101,6 +104,7 @@ SECTIONS: dict[str, tuple[str, ...]] = {
 }
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_FLOAT_KEYS = tuple(key for key, kind in _FIELD_TYPES.items() if kind == "float")
 _KEY_SECTION = {key: section for section, keys in SECTIONS.items() for key in keys}
 
 

@@ -139,11 +139,7 @@ def write_dataset(config: ToyDatasetConfig, count: int, out_dir) -> None:
     lines = ["index\ttoken_ids"]
     for index in range(count):
         image, ids = sample(config, index)
-        stem = f"{index:05d}"
-        if config.channels == 3:
-            pgm.write_ppm(out / f"{stem}.ppm", pgm.to_bytes(np.moveaxis(image, 0, -1)))
-        else:
-            pgm.write_pgm(out / f"{stem}.pgm", pgm.to_bytes(image[0]))
+        pgm.write_image(out, f"{index:05d}", image)
         lines.append(f"{index}\t{' '.join(str(int(i)) for i in ids)}")
     (out / "captions.tsv").write_text("\n".join(lines) + "\n")
 

@@ -44,18 +44,22 @@ class NoiseSchedule:
         self.alpha_bars = np.cumprod(self.alphas)
         self.sigmas = np.sqrt(1.0 - self.alpha_bars)
 
-    def check_timesteps(self, t) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(t))
-        if not np.issubdtype(t.dtype, np.integer):
-            raise T.UsageError("timesteps must be integers")
-        if t.size and (t.min() < 0 or t.max() >= self.num_steps):
-            raise T.UsageError(f"timestep out of range [0, {self.num_steps})")
-        return t
+
+def check_timesteps(t, num_steps: int) -> np.ndarray:
+    """``t`` as a 1-d integer array, each step in [0, num_steps)."""
+    t = np.atleast_1d(np.asarray(t))
+    if not np.issubdtype(t.dtype, np.integer):
+        raise T.UsageError("timesteps must be integers")
+    if t.size and (t.min() < 0 or t.max() >= num_steps):
+        raise T.UsageError(f"timestep out of range [0, {num_steps})")
+    return t
 
 
 @dataclass(frozen=True)
 class GuidanceConfig:
-    guidance_scale: float = 1.0
+    """Training-side guidance: captions are kept with ``caption_keep_prob``
+    and otherwise replaced by ``null_id``."""
+
     caption_keep_prob: float = 0.9
     null_id: int = 0
 
@@ -86,27 +90,20 @@ def _per_example(coeff: np.ndarray, t: np.ndarray, ndim: int):
     return values.reshape(values.shape + (1,) * (ndim - 1))
 
 
-def forward_noise(x0, t, eps, sched: NoiseSchedule):
+def forward_noise(x0: np.ndarray, t, eps: np.ndarray, sched: NoiseSchedule) -> np.ndarray:
     """x_t = sqrt(alpha_bar_t) * x0 + sqrt(1 - alpha_bar_t) * eps.
 
-    Accepts arrays or Tensors; per-example integer t is broadcast over the
-    trailing extents. Returns the same container kind as ``x0``.
+    Per-example integer t is broadcast over the trailing extents.
     """
-    t = sched.check_timesteps(t)
-    as_tensor = isinstance(x0, Tensor)
-    x0_data = x0.data if as_tensor else np.asarray(x0)
-    eps_data = eps.data if isinstance(eps, Tensor) else np.asarray(eps)
-    if eps_data.shape != x0_data.shape:
+    t = check_timesteps(t, sched.num_steps)
+    x0, eps = np.asarray(x0), np.asarray(eps)
+    if eps.shape != x0.shape:
         raise T.ShapeError("noise must match the data shape")
-    if t.size not in (1, x0_data.shape[0] if x0_data.ndim else 1):
+    if t.size not in (1, x0.shape[0] if x0.ndim else 1):
         raise T.UsageError("need one timestep per example (or a single shared one)")
-    signal = np.sqrt(_per_example(sched.alpha_bars, t, x0_data.ndim))
-    noise = _per_example(sched.sigmas, t, x0_data.ndim)
-    if as_tensor:
-        return x0 * signal.astype(x0.dtype) + (
-            eps if isinstance(eps, Tensor) else Tensor(eps_data, dtype=x0.dtype)
-        ) * noise.astype(x0.dtype)
-    return signal * x0_data + noise * eps_data
+    signal = np.sqrt(_per_example(sched.alpha_bars, t, x0.ndim))
+    noise = _per_example(sched.sigmas, t, x0.ndim)
+    return signal * x0 + noise * eps
 
 
 def training_loss(model, x0: np.ndarray, text_ids: np.ndarray, sched: NoiseSchedule,
@@ -133,17 +130,15 @@ def training_loss(model, x0: np.ndarray, text_ids: np.ndarray, sched: NoiseSched
     return (diff * diff).mean()
 
 
-def score_from_eps(eps_hat, t, sched: NoiseSchedule):
+def score_from_eps(eps_hat: np.ndarray, t, sched: NoiseSchedule) -> np.ndarray:
     """Score of the noised marginal: S = -eps_hat / sigma_t."""
-    t = sched.check_timesteps(t)
+    t = check_timesteps(t, sched.num_steps)
     sigma = sched.sigmas[t]
     if np.any(sigma <= 0.0):
         raise T.UsageError("score undefined where sigma_t = 0 (alpha_bar = 1)")
-    ndim = eps_hat.ndim if hasattr(eps_hat, "ndim") else np.asarray(eps_hat).ndim
-    factor = -1.0 / sigma.reshape(sigma.shape + (1,) * (ndim - 1))
-    if isinstance(eps_hat, Tensor):
-        return eps_hat * factor.astype(eps_hat.dtype)
-    return factor * np.asarray(eps_hat)
+    eps_hat = np.asarray(eps_hat)
+    factor = -1.0 / sigma.reshape(sigma.shape + (1,) * (eps_hat.ndim - 1))
+    return factor * eps_hat
 
 
 def cfg_eps(model, x_t: Tensor, text_ids: np.ndarray, t, omega: float,
@@ -208,6 +203,7 @@ __all__ = [
     "SamplerConfig",
     "SamplingDiverged",
     "cfg_eps",
+    "check_timesteps",
     "forward_noise",
     "sample",
     "score_from_eps",

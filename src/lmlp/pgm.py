@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
 
@@ -71,4 +73,13 @@ def to_bytes(values: np.ndarray) -> np.ndarray:
     return np.clip(np.rint(np.asarray(values) * 255.0), 0, 255).astype(np.uint8)
 
 
-__all__ = ["read_pgm", "read_ppm", "to_bytes", "write_pgm", "write_ppm"]
+def write_image(out_dir, stem: str, image: np.ndarray) -> None:
+    """Write a (C, H, W) image of floats in [0, 1] as ``<stem>.ppm`` when it
+    has 3 channels, otherwise channel 0 as ``<stem>.pgm``."""
+    if image.shape[0] == 3:
+        write_ppm(Path(out_dir) / f"{stem}.ppm", to_bytes(np.moveaxis(image, 0, -1)))
+    else:
+        write_pgm(Path(out_dir) / f"{stem}.pgm", to_bytes(image[0]))
+
+
+__all__ = ["read_pgm", "read_ppm", "to_bytes", "write_image", "write_pgm", "write_ppm"]

@@ -449,24 +449,6 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     return _record(out, (x,), vjp)
 
 
-def pad2d(x: Tensor, pad: int) -> Tensor:
-    """Zero-pad the trailing two extents by ``pad`` on every side."""
-    if x.ndim < 2:
-        raise ShapeError("pad2d needs rank >= 2")
-    if pad < 0:
-        raise ShapeError("pad must be non-negative")
-    widths = [(0, 0)] * (x.ndim - 2) + [(pad, pad), (pad, pad)]
-    out = Tensor._make(np.pad(x.data, widths), "pad2d")
-    crop = tuple(
-        [slice(None)] * (x.ndim - 2) + [slice(pad, pad + x.shape[-2]), slice(pad, pad + x.shape[-1])]
-    )
-
-    def vjp(g):
-        return (np.ascontiguousarray(g[crop]),)
-
-    return _record(out, (x,), vjp)
-
-
 def gather_rows(table: Tensor, ids: np.ndarray) -> Tensor:
     """Look up rows of a 2-d table; gradient scatters back into the table."""
     if table.ndim != 2:
@@ -797,7 +779,6 @@ __all__ = [
     "mul",
     "narrow",
     "no_grad",
-    "pad2d",
     "permute",
     "reshape",
     "sigmoid",

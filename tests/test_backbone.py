@@ -77,13 +77,15 @@ class TestTimeEmbedding:
 
 class TestTokenAssembly:
     def test_ranges(self):
+        """[time | text | image]: one time token, text_tokens text tokens, then the image."""
         model = build_model(desk_config(), 1)
-        img_tokens = T.Tensor(np.zeros((1, 4, 8)))
-        seq = model.assemble_tokens(img_tokens, np.zeros((1, 2), dtype=int), np.array([0]))
-        assert seq.time_range == (0, 1)
-        assert seq.text_range == (1, 3)
-        assert seq.image_range == (3, 7)
-        assert seq.tensor.shape == (1, 7, 8)
+        img_tokens = T.Tensor(np.random.default_rng(6).standard_normal((1, 4, 8)))
+        ids = np.array([[1, 2]])
+        seq = model.assemble_tokens(img_tokens, ids, np.array([0]))
+        assert seq.shape == (1, 7, 8)
+        assert np.array_equal(seq.data[:, 0:1], model.embed_timestep(np.array([0])).data)
+        assert np.array_equal(seq.data[:, 1:3], model.embed_text(ids).data)
+        assert np.array_equal(seq.data[:, 3:7], img_tokens.data)
 
     def test_null_ids_repeat_null_row(self):
         model = build_model(desk_config(), 2)
@@ -101,8 +103,8 @@ class TestTokenAssembly:
         img_tokens = T.Tensor(np.random.default_rng(5).standard_normal((2, 4, 8)))
         ids = np.array([[1, 2], [0, 3]])
         t = np.array([4, 9])
-        a = model.assemble_tokens(img_tokens, ids, t).tensor.data
-        b = model.assemble_tokens(img_tokens, ids, t).tensor.data
+        a = model.assemble_tokens(img_tokens, ids, t).data
+        b = model.assemble_tokens(img_tokens, ids, t).data
         assert np.array_equal(a, b)
 
 
@@ -141,11 +143,11 @@ class TestForward:
         half = cfg.depth // 2
         for i, block in enumerate(skipped.blocks):
             if i >= cfg.depth - half:
-                def wrapped(xx, skip=None, skip_stage="none", _f=original_forwards[i]):
+                def wrapped(xx, skip=None, _f=original_forwards[i]):
                     if skip is not None:
                         skip = T.Tensor(np.zeros(skip.shape))
                         stored_zero.append(True)
-                    return _f(xx, skip=skip, skip_stage=skip_stage)
+                    return _f(xx, skip=skip)
                 block.forward = wrapped
                 block.__call__ = wrapped
         out_zeroskip = skipped.run_blocks(plain_tokens(skipped, x, ids, t)).data
@@ -183,14 +185,38 @@ class TestForward:
         model = build_model(cfg, 15)
         seen = {}
         for i, block in enumerate(model.blocks):
-            def wrapped(xx, skip=None, skip_stage="none", _f=block.forward, _i=i):
+            def wrapped(xx, skip=None, _f=block.forward, _i=i):
                 seen[_i] = skip is not None
-                return _f(xx, skip=skip, skip_stage=skip_stage)
+                return _f(xx, skip=skip)
             block.forward = wrapped
             block.__call__ = wrapped
         x, ids, t = self.batch(cfg, seed=16)
         model(x, ids, t)
         assert seen == {0: False, 1: False, 2: False, 3: True, 4: True}
+
+    def test_second_stage_skip_reaches_mirrored_block(self):
+        cfg = desk_config()
+        model = build_model(cfg, 35)
+        randomize(model, seed=36)
+        x, ids, t = self.batch(cfg, seed=37)
+        tokens = plain_tokens(model, x, ids, t)
+        b = model.blocks
+        e0 = b[0](tokens)
+        e1 = b[1](e0)
+        expect = b[3](b[2](e1, skip=e1), skip=e0)
+        assert np.array_equal(model.run_blocks(tokens).data, expect.data)
+
+    def test_first_stage_skip_equals_shifted_input(self):
+        cfg = desk_config(skip_mode="first_stage")
+        model = build_model(cfg, 38)
+        randomize(model, seed=39)
+        x, ids, t = self.batch(cfg, seed=40)
+        tokens = plain_tokens(model, x, ids, t)
+        b = model.blocks
+        e0 = b[0](tokens)
+        e1 = b[1](e0)
+        expect = b[3](b[2](e1 + e1) + e0)
+        assert np.array_equal(model.run_blocks(tokens).data, expect.data)
 
     def test_skip_with_depth_one_rejected(self):
         with pytest.raises(backbone.ConfigError):
@@ -228,8 +254,7 @@ class TestOutputHead:
         model = build_model(cfg, 20)
         model.head.weight.data[...] = 0.0
         model.head.bias.data[...] = 0.0
-        tokens = backbone.TokenSequence(T.Tensor(np.ones((2, cfg.seq_len, 8))), cfg.text_tokens)
-        out = model.output_head(tokens)
+        out = model.output_head(T.Tensor(np.ones((2, cfg.seq_len, 8))))
         assert np.array_equal(out.data, np.zeros((2, 1, 4, 4)))
 
     def test_head_matches_per_patch_matmul_oracle(self):
@@ -238,9 +263,7 @@ class TestOutputHead:
         randomize(model, seed=22)
         rng = np.random.default_rng(23)
         tokens_np = rng.standard_normal((2, cfg.seq_len, cfg.embed_dim))
-        out = model.output_head(
-            backbone.TokenSequence(T.Tensor(tokens_np), cfg.text_tokens)
-        ).data
+        out = model.output_head(T.Tensor(tokens_np)).data
 
         # brute force: per image token, multiply by the head matrix and place
         # the p*p pixels into the right patch position
@@ -265,6 +288,32 @@ class TestOutputHead:
         t = np.array([0, 1])
         assert model(x, ids, t).shape == (2, 2, 4, 4)
 
+    def test_conv_head_matches_zero_padded_convolution(self):
+        cfg = desk_config(head_kind="conv3x3_postprocess", in_channels=2)
+        model = build_model(cfg, 29)
+        randomize(model, seed=30)
+        img = np.random.default_rng(31).standard_normal((2, 2, 4, 4))
+        out = model._conv3x3(T.Tensor(img)).data
+        padded = np.pad(img, ((0, 0), (0, 0), (1, 1), (1, 1)))
+        # weight column (3 * di + dj) * C + c reads channel c at offset (di - 1, dj - 1)
+        w = model.head_conv_weight.data.reshape(2, 3, 3, 2)
+        expect = np.zeros_like(img)
+        for i in range(4):
+            for j in range(4):
+                window = padded[:, :, i:i + 3, j:j + 3]
+                expect[:, :, i, j] = np.einsum("bcxy,oxyc->bo", window, w)
+        expect += model.head_conv_bias.data[None, :, None, None]
+        assert np.allclose(out, expect, atol=1e-12)
+
+    def test_conv_head_input_gradient(self):
+        cfg = desk_config(head_kind="conv3x3_postprocess", in_channels=2)
+        model = build_model(cfg, 32)
+        randomize(model, seed=33)
+        img = T.Tensor(np.random.default_rng(34).standard_normal((1, 2, 4, 4)),
+                       requires_grad=True)
+        params = [img, model.head_conv_weight, model.head_conv_bias]
+        check_gradients(lambda: (model._conv3x3(img) * model._conv3x3(img)).sum(), params)
+
     def test_conv_head_gradients(self):
         cfg = desk_config(head_kind="conv3x3_postprocess", depth=2)
         model = build_model(cfg, 26)
@@ -279,4 +328,4 @@ class TestOutputHead:
 
 def plain_tokens(model, x, ids, t):
     img_tokens = model.patch_embed(backbone.patchify(x, model.config.patch))
-    return model.assemble_tokens(img_tokens, ids, t).tensor
+    return model.assemble_tokens(img_tokens, ids, t)

@@ -188,19 +188,26 @@ class TestForwardSemantics:
         randomize(block, seed=26)
         x = tokens(seed=27)
         skip = tokens(seed=28)
-        with_skip = block(x, skip=skip, skip_stage="second_stage").data
-        zero_skip = block(x, skip=T.Tensor(np.zeros(x.shape)), skip_stage="second_stage").data
+        with_skip = block(x, skip=skip).data
+        zero_skip = block(x, skip=T.Tensor(np.zeros(x.shape))).data
         plain = block(x).data
         assert np.array_equal(zero_skip, plain)
         assert not np.allclose(with_skip, plain)
 
-    def test_first_stage_skip_equals_shifted_input(self):
-        block = small_block("D2", seed=29)
+    @pytest.mark.parametrize("preset,second_out", [
+        ("D2", "fnn_c.fc2."), ("A2", "channel_mlp.fc2."), ("transformer", "mlp.fc2."),
+        ("A3", None),
+    ])
+    def test_skip_joins_where_second_stage_begins(self, preset, second_out):
+        """With the second stage's output layer zeroed, the skip reaches the
+        output unchanged; gMLP has no second stage and adds it after its residual."""
+        block = small_block(preset, seed=29)
         randomize(block, seed=30)
+        for name, p in block.named_parameters():
+            if second_out and name.startswith(second_out):
+                p.data[...] = 0.0
         x, skip = tokens(seed=31), tokens(seed=32)
-        via_skip = block(x, skip=skip, skip_stage="first_stage").data
-        pre_added = block(x + skip).data
-        assert np.allclose(via_skip, pre_added, atol=1e-12)
+        assert np.array_equal(block(x, skip=skip).data, (block(x) + skip).data)
 
 
 # Reference: the same blocks written with permutes. Token-axis layers run on

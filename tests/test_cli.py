@@ -6,6 +6,10 @@ from lmlp.config import RunConfig, serialize_config
 from lmlp.train import checkpoint_name, run_training
 
 
+FLOAT_KEYS = ("learning_rate", "weight_decay", "beta1", "beta2", "mlp_scale",
+              "beta_start", "beta_end", "guidance_scale", "caption_keep_prob")
+
+
 @pytest.fixture()
 def trained_checkpoint(tmp_path):
     config = RunConfig(image_side=8, embed_dim=8, depth=2, text_tokens=3,
@@ -123,6 +127,23 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert flag[2:].replace("-", "_") in err and err.count("\n") == 1
         assert not (tmp_path / "t").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_float_exits_2(self, tmp_path, capsys, key, value):
+        flag = "--" + key.replace("_", "-")
+        code = main(["train", "--image-side", "8", "--embed-dim", "8", "--depth", "2",
+                     "--text-tokens", "3", "--mlp-scale", "2.0", "--num-samples", "8",
+                     "--train-steps", "1", "--batch-size", "2", "--warmup-steps", "1",
+                     flag, value, "--out-dir", str(tmp_path / "t")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{key} must be finite" in err and err.count("\n") == 1
+        assert not (tmp_path / "t").exists()
+        assert main(["show-config", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{key} must be finite" in captured.err and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("flag, value", [("--text-tokens", "2"), ("--image-side", "4")])
     def test_show_config_rejects_bad_data_keys(self, capsys, flag, value):

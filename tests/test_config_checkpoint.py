@@ -238,9 +238,12 @@ class TestMalformedCheckpoint:
         _config_text(b"preset = F2", b"preset = ZZ"),
         _config_text(b"caption_keep_prob = 0.9", b"caption_keep_prob = 9.0"),
         _config_text(b"text_tokens = 3", b"text_tokens = 2"),
+        _config_text(b"guidance_scale = 1.0", b"guidance_scale = nan"),
+        _config_text(b"mlp_scale = 2.0", b"mlp_scale = inf"),
     ], ids=["bad-utf8-config", "bad-utf8-name", "garbage-config", "trailing-bytes",
             "nan-value", "inf-value", "zero-depth", "patch-not-dividing", "unknown-preset",
-            "keep-prob-above-one", "caption-longer-than-text-tokens"])
+            "keep-prob-above-one", "caption-longer-than-text-tokens", "nan-guidance-scale",
+            "inf-mlp-scale"])
     def test_raises_checkpoint_error(self, tmp_path, corrupt):
         config = tiny_config()
         model = build_model(config.backbone_config(), config.seed, dtype=np.float32)

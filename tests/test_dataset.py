@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lmlp import dataset, tensor as T
+from lmlp import dataset, pgm, tensor as T
 from lmlp.dataset import (
     NULL_ID,
     ToyDatasetConfig,
@@ -91,6 +91,10 @@ class TestGeneration:
             sample(ToyDatasetConfig(side=12), 0)
 
 
+def quantize(values):
+    return np.clip(np.rint(values * 255.0), 0, 255).astype(np.uint8)
+
+
 class TestFiles:
     def test_write_is_bitwise_reproducible(self, tmp_path):
         cfg = ToyDatasetConfig(seed=9)
@@ -117,8 +121,18 @@ class TestFiles:
         assert len(ids.split()) == 4
 
     def test_three_channel_writes_ppm(self, tmp_path):
-        write_dataset(ToyDatasetConfig(channels=3, seed=2), 1, tmp_path / "rgb")
-        assert (tmp_path / "rgb" / "00000.ppm").exists()
+        cfg = ToyDatasetConfig(channels=3, seed=2)
+        write_dataset(cfg, 1, tmp_path / "rgb")
+        image, _ = sample(cfg, 0)
+        back = pgm.read_ppm(tmp_path / "rgb" / "00000.ppm")
+        assert np.array_equal(back, quantize(np.moveaxis(image, 0, -1)))
+
+    def test_two_channels_write_channel_zero_as_pgm(self, tmp_path):
+        cfg = ToyDatasetConfig(channels=2, seed=4)
+        write_dataset(cfg, 1, tmp_path / "two")
+        image, _ = sample(cfg, 0)
+        back = pgm.read_pgm(tmp_path / "two" / "00000.pgm")
+        assert np.array_equal(back, quantize(image[0]))
 
     def test_generate_arrays_matches_samples(self):
         cfg = ToyDatasetConfig(seed=3)

@@ -496,10 +496,6 @@ class TestShapeOps:
         with pytest.raises(T.ShapeError):
             T.narrow(rand((2, 3), 65), 1, 2, 5)
 
-    def test_pad2d_gradient(self):
-        x = rand((1, 2, 3, 3), 66, requires_grad=True)
-        check_gradients(lambda: (T.pad2d(x, 1) * T.pad2d(x, 1)).sum(), [x])
-
     def test_gather_rows_lookup_and_scatter(self):
         table = rand((5, 4), 67, requires_grad=True)
         ids = np.array([[0, 2], [2, 4]])
