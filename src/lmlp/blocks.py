@@ -162,8 +162,8 @@ class BlockConfig:
                 raise UnsupportedBlockError(f"unknown second stage {self.second_stage!r}")
             if self.left_activation not in ("none", "gelu"):
                 raise UnsupportedBlockError(f"unknown left activation {self.left_activation!r}")
-        if self.mlp_scale <= 0:
-            raise UnsupportedBlockError("mlp_scale must be positive")
+        if not 0 < self.mlp_scale < np.inf:
+            raise UnsupportedBlockError("mlp_scale must be a positive finite number")
 
 
 _LMLP_AXES = {

@@ -92,9 +92,8 @@ def save_checkpoint(path, config: RunConfig, model: UlMlpModel, step: int,
         if optimizer is None:
             out.write(struct.pack("<B", 0))
         else:
-            opt_step, exp_avg, exp_avg_sq = optimizer.state_arrays()
-            out.write(struct.pack("<BQ", 1, opt_step))
-            for m, v in zip(exp_avg, exp_avg_sq):
+            out.write(struct.pack("<BQ", 1, optimizer.step_count))
+            for m, v in zip(optimizer.exp_avg, optimizer.exp_avg_sq):
                 _write_array(out, m)
                 _write_array(out, v)
 
@@ -191,16 +190,6 @@ def restore_model(snapshot: Checkpoint) -> UlMlpModel:
     return model
 
 
-def restore_optimizer(snapshot: Checkpoint, model: UlMlpModel, lr: float,
-                      betas: tuple[float, float], weight_decay: float) -> AdamW:
-    optimizer = AdamW(list(model.named_parameters()), lr=lr, betas=betas,
-                      weight_decay=weight_decay)
-    if snapshot.opt_step is not None:
-        optimizer.load_state(snapshot.opt_step, snapshot.opt_exp_avg,
-                             snapshot.opt_exp_avg_sq)
-    return optimizer
-
-
 __all__ = [
     "Checkpoint",
     "CheckpointError",
@@ -209,6 +198,5 @@ __all__ = [
     "atomic_open",
     "load_checkpoint",
     "restore_model",
-    "restore_optimizer",
     "save_checkpoint",
 ]

@@ -71,8 +71,8 @@ def lmlp_cost(seq_len: int, embed_dim: int, scale: float) -> BlockCost:
 def _check_args(seq_len: int, embed_dim: int, scale: float) -> None:
     if seq_len < 0 or embed_dim < 0:
         raise T.UsageError("extents must be non-negative")
-    if scale <= 0:
-        raise T.UsageError("scale must be positive")
+    if not 0 < scale < np.inf:
+        raise T.UsageError("scale must be a positive finite number")
 
 
 _ANALYTIC = {"transformer": transformer_cost, "lmlp": lmlp_cost}

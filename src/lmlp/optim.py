@@ -1,4 +1,12 @@
-"""Adaptive-moment optimizer with decoupled weight decay and linear warmup."""
+"""Adaptive-moment optimizer with decoupled weight decay and linear warmup.
+
+``AdamW`` owns one flat array each for the parameters (``flat``), their
+gradients (``grad``) and the two moments (``m``, ``v``), in parameter order.
+Each ``p.data`` and ``p.grad`` is a view into its flat array, and ``backward``
+adds gradients into those views in place, so a step, ``zero_grad`` and a
+gradient-accumulation divide are whole-array ops. A parameter whose ``data``
+or ``grad`` is rebound would drop out of the update, so ``step`` refuses it.
+"""
 
 from __future__ import annotations
 
@@ -8,8 +16,8 @@ from .tensor import Tensor, UsageError
 
 
 class AdamW:
-    """Per-parameter first/second moment estimates; weight decay is applied
-    directly to the parameter (decoupled from the adaptive update)."""
+    """Moment estimates per scalar; weight decay is applied directly to the
+    parameter (decoupled from the adaptive update)."""
 
     def __init__(self, named_params: list[tuple[str, Tensor]], lr: float = 2e-4,
                  betas: tuple[float, float] = (0.9, 0.9), eps: float = 1e-8,
@@ -18,49 +26,51 @@ class AdamW:
             raise UsageError("betas must lie in [0, 1)")
         self.names = [name for name, _ in named_params]
         self.params = [p for _, p in named_params]
+        dtypes = sorted({p.dtype.name for p in self.params})
+        if len(dtypes) != 1:
+            raise UsageError(f"AdamW needs parameters of one dtype, got {dtypes}")
         self.lr = lr
         self.betas = betas
         self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
-        self.exp_avg = [np.zeros_like(p.data) for p in self.params]
-        self.exp_avg_sq = [np.zeros_like(p.data) for p in self.params]
+        self.flat = np.concatenate([p.data.reshape(-1) for p in self.params])
+        self.grad, self.m, self.v = (np.zeros_like(self.flat) for _ in range(3))
+        ends = np.cumsum([p.size for p in self.params])[:-1]
+        data, grad, self.exp_avg, self.exp_avg_sq = (
+            [part.reshape(p.shape) for part, p in zip(np.split(buf, ends), self.params)]
+            for buf in (self.flat, self.grad, self.m, self.v))
+        for p, p_data, p_grad in zip(self.params, data, grad):
+            p.data, p.grad = p_data, p_grad
 
     def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
+        self.grad[...] = 0
 
     def step(self, lr: float | None = None) -> None:
-        """One update using each parameter's accumulated gradient."""
+        """One update using the accumulated gradient."""
+        for name, p in zip(self.names, self.params):
+            if p.data.base is not self.flat or getattr(p.grad, "base", None) is not self.grad:
+                raise UsageError(f"{name}: data or grad was rebound after AdamW was built")
         lr_now = self.lr if lr is None else lr
         beta1, beta2 = self.betas
         self.step_count += 1
         bias1 = 1.0 - beta1 ** self.step_count
         bias2 = 1.0 - beta2 ** self.step_count
-        for p, m, v in zip(self.params, self.exp_avg, self.exp_avg_sq):
-            if p.grad is None:
-                continue
-            g = p.grad.astype(p.data.dtype, copy=False)
-            m *= beta1
-            m += (1.0 - beta1) * g
-            v *= beta2
-            v += (1.0 - beta2) * g * g
-            update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
-            p.data -= lr_now * (update + self.weight_decay * p.data)
-
-    # -- persistence ---------------------------------------------------------
-    def state_arrays(self) -> tuple[int, list[np.ndarray], list[np.ndarray]]:
-        return self.step_count, self.exp_avg, self.exp_avg_sq
+        m, v, g = self.m, self.v, self.grad
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+        self.flat -= lr_now * (update + self.weight_decay * self.flat)
 
     def load_state(self, step_count: int, exp_avg: list[np.ndarray],
                    exp_avg_sq: list[np.ndarray]) -> None:
         if len(exp_avg) != len(self.params) or len(exp_avg_sq) != len(self.params):
             raise UsageError("optimizer state does not match the parameter list")
         self.step_count = step_count
-        for slot, incoming in zip(self.exp_avg, exp_avg):
-            slot[...] = incoming.reshape(slot.shape)
-        for slot, incoming in zip(self.exp_avg_sq, exp_avg_sq):
-            slot[...] = incoming.reshape(slot.shape)
+        self.m[...] = np.concatenate([a.reshape(-1) for a in exp_avg])
+        self.v[...] = np.concatenate([a.reshape(-1) for a in exp_avg_sq])
 
 
 def warmup_lr(base_lr: float, step: int, warmup_steps: int) -> float:

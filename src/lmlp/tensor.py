@@ -256,7 +256,9 @@ def _elementwise_operands(a, b):
 
 def add(a, b) -> Tensor:
     a, b = _elementwise_operands(a, b)
-    out = Tensor._make(a.data + b.data, "add")
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = a.data + b.data
+    out = Tensor._make(raw, "add")
     a_shape, b_shape = a.shape, b.shape
 
     def vjp(g):
@@ -267,7 +269,9 @@ def add(a, b) -> Tensor:
 
 def sub(a, b) -> Tensor:
     a, b = _elementwise_operands(a, b)
-    out = Tensor._make(a.data - b.data, "sub")
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = a.data - b.data
+    out = Tensor._make(raw, "sub")
     a_shape, b_shape = a.shape, b.shape
 
     def vjp(g):
@@ -613,13 +617,14 @@ def layer_norm(x: Tensor, normalized_extent: int, gain: Tensor, bias: Tensor,
         raise UsageError("eps must be positive")
     n = normalized_extent
     average = np.full(n, 1.0 / n, dtype=x.dtype)
-    x_hat = x.data - _weighted_sum(x.data, average, axis)
-    inv = 1.0 / np.sqrt(_weighted_sum(x_hat * x_hat, average, axis) + eps)
-    x_hat *= inv
     affine_shape = (n,) if axis == -1 else (n, 1)
     gain_data = gain.data.reshape(affine_shape)
-    y = x_hat * gain_data
-    y += bias.data.reshape(affine_shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_hat = x.data - _weighted_sum(x.data, average, axis)
+        inv = 1.0 / np.sqrt(_weighted_sum(x_hat * x_hat, average, axis) + eps)
+        x_hat *= inv
+        y = x_hat * gain_data
+        y += bias.data.reshape(affine_shape)
     out = Tensor._make(y, "layer_norm")
     gain_average = gain.data / n
 
@@ -700,7 +705,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def tensor_sum(x: Tensor) -> Tensor:
-    out = Tensor._make(np.asarray(x.data.sum(), dtype=x.dtype), "sum")
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = x.data.sum()
+    out = Tensor._make(np.asarray(total, dtype=x.dtype), "sum")
     shape, dtype = x.shape, x.dtype
 
     def vjp(g):
@@ -710,7 +717,9 @@ def tensor_sum(x: Tensor) -> Tensor:
 
 
 def tensor_mean(x: Tensor) -> Tensor:
-    out = Tensor._make(np.asarray(x.data.mean(), dtype=x.dtype), "mean")
+    with np.errstate(over="ignore", invalid="ignore"):
+        average = x.data.mean()
+    out = Tensor._make(np.asarray(average, dtype=x.dtype), "mean")
     shape, dtype, size = x.shape, x.dtype, x.size
 
     def vjp(g):
@@ -731,12 +740,12 @@ def _graph_nodes(loss: Tensor) -> list[_Node]:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every requires-grad leaf reachable from the scalar loss.
+    """Add into ``grad``, in place, on every requires-grad leaf reachable from
+    the scalar loss; a leaf without a ``grad`` gets a copy, never a shared array.
 
-    Repeated calls without zeroing the leaves accumulate. The walk visits the
-    operations reachable from the loss in exact reverse execution order, so
-    every node's adjoint is complete before its vjp runs, and adjoints and
-    leaf gradients are summed in a fixed order.
+    The walk visits the operations reachable from the loss in exact reverse
+    execution order, so every node's adjoint is complete before its vjp runs,
+    and adjoints and leaf gradients are summed in a fixed order.
     """
     if loss.size != 1:
         raise UsageError("backward needs a scalar loss")
@@ -744,20 +753,29 @@ def backward(loss: Tensor) -> None:
         raise UsageError("loss is not connected to any requires_grad tensor")
     ones = np.ones_like(loss.data)
     if loss._node is None:
-        loss.grad = (loss.grad if loss.grad is not None else 0) + ones
+        _accumulate(loss, ones)
         return
     adjoint: dict[int, np.ndarray] = {id(loss._node): ones}
-    for node in _graph_nodes(loss):
-        grads = node.vjp(adjoint.pop(id(node)))
-        for parent, grad in zip(node.parents, grads):
-            if parent is None:
-                continue
-            _check_finite(grad, "backward")
-            if isinstance(parent, _Node):
-                prev = adjoint.get(id(parent))
-                adjoint[id(parent)] = grad if prev is None else prev + grad
-            else:
-                parent.grad = grad if parent.grad is None else parent.grad + grad
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for node in _graph_nodes(loss):
+            grads = node.vjp(adjoint.pop(id(node)))
+            for parent, grad in zip(node.parents, grads):
+                if parent is None:
+                    continue
+                _check_finite(grad, node.vjp.__qualname__.split(".")[0] + " backward")
+                if isinstance(parent, _Node):
+                    prev = adjoint.get(id(parent))
+                    adjoint[id(parent)] = grad if prev is None else prev + grad
+                else:
+                    _accumulate(parent, grad)
+
+
+def _accumulate(leaf: Tensor, grad: np.ndarray) -> None:
+    if leaf.grad is None:
+        leaf.grad = grad.copy()
+    else:
+        leaf.grad += grad
+        _check_finite(leaf.grad, "leaf gradient sum")
 
 
 __all__ = [

@@ -16,13 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .backbone import build_model
-from .checkpoint import (
-    atomic_open,
-    load_checkpoint,
-    restore_model,
-    restore_optimizer,
-    save_checkpoint,
-)
+from .checkpoint import atomic_open, load_checkpoint, restore_model, save_checkpoint
 from .config import SECTIONS, ConfigError, RunConfig
 from .dataset import generate_arrays
 from .diffusion import training_loss
@@ -77,16 +71,16 @@ def run_training(config: RunConfig, resume: str | None = None) -> TrainResult:
                               f"{config.train_steps} here but the checkpoint is at "
                               f"step {snapshot.step}")
         model = restore_model(snapshot)
-        optimizer = restore_optimizer(snapshot, model, lr=config.learning_rate,
-                                      betas=(config.beta1, config.beta2),
-                                      weight_decay=config.weight_decay)
         start_step = snapshot.step
     else:
+        snapshot = None
         model = build_model(config.backbone_config(), config.seed, dtype=np.float32)
-        optimizer = AdamW(list(model.named_parameters()), lr=config.learning_rate,
-                          betas=(config.beta1, config.beta2),
-                          weight_decay=config.weight_decay)
         start_step = 0
+    optimizer = AdamW(list(model.named_parameters()), lr=config.learning_rate,
+                      betas=(config.beta1, config.beta2),
+                      weight_decay=config.weight_decay)
+    if snapshot is not None and snapshot.opt_step is not None:
+        optimizer.load_state(snapshot.opt_step, snapshot.opt_exp_avg, snapshot.opt_exp_avg_sq)
 
     images, captions = generate_arrays(config.dataset_config(), config.num_samples)
     x0_all = (2.0 * images - 1.0).astype(np.float32)
@@ -116,9 +110,7 @@ def run_training(config: RunConfig, resume: str | None = None) -> TrainResult:
                 step_loss += loss.item()
                 del loss  # frees this micro-batch's graph before the next forward
             if config.grad_accumulation > 1:
-                for p in optimizer.params:
-                    if p.grad is not None:
-                        p.grad /= config.grad_accumulation
+                optimizer.grad /= config.grad_accumulation
             optimizer.step(warmup_lr(config.learning_rate, step, config.warmup_steps))
             step_loss /= config.grad_accumulation
             losses.append(step_loss)

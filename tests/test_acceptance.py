@@ -15,7 +15,7 @@ from helpers import check_gradients
 from lmlp import blocks, tensor as T
 from lmlp.analysis import WeightMap, normalize_unit, region_stats
 from lmlp.backbone import BackboneConfig, build_model
-from lmlp.checkpoint import load_checkpoint, restore_model, restore_optimizer, save_checkpoint
+from lmlp.checkpoint import load_checkpoint, restore_model, save_checkpoint
 from lmlp.cli import main
 from lmlp.complexity import cost_table, lmlp_cost, measure, reference_rows
 from lmlp.config import RunConfig
@@ -239,7 +239,8 @@ def test_criterion_08_persistence(tmp_path):
     restored = restore_model(snapshot)
     for (name, p), (_, q) in zip(model.named_parameters(), restored.named_parameters()):
         assert np.array_equal(p.data, q.data), name
-    opt2 = restore_optimizer(snapshot, restored, 1e-3, (0.9, 0.9), 0.0)
+    opt2 = AdamW(list(restored.named_parameters()), lr=1e-3, betas=(0.9, 0.9))
+    opt2.load_state(snapshot.opt_step, snapshot.opt_exp_avg, snapshot.opt_exp_avg_sq)
     for m, m2 in zip(optimizer.exp_avg, opt2.exp_avg):
         assert np.array_equal(m, m2)
 

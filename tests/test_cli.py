@@ -46,6 +46,16 @@ class TestBench:
     def test_bad_row_spec(self, capsys):
         assert main(["bench", "--row", "x:1:2"]) == 2
 
+    @pytest.mark.parametrize("scale", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("flag, spec", [("--measure", "D2:8:8:{}"),
+                                            ("--row", "x:8:8:{}:lmlp")],
+                             ids=["measure", "row"])
+    def test_non_finite_scale_exits_2(self, capsys, flag, spec, scale):
+        assert main(["bench", flag, spec.format(scale)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "positive finite" in captured.err and captured.err.count("\n") == 1
+
     def test_custom_row(self, capsys):
         assert main(["bench", "--row", "mine:10:16:2:lmlp"]) == 0
         assert "mine" in capsys.readouterr().out

@@ -7,7 +7,6 @@ from lmlp.checkpoint import (
     CheckpointError,
     load_checkpoint,
     restore_model,
-    restore_optimizer,
     save_checkpoint,
 )
 from lmlp.config import (
@@ -90,7 +89,7 @@ class TestOptimizer:
     def test_single_step_matches_hand_computation(self):
         p = T.Tensor(np.array([1.0, -2.0], dtype=np.float32), requires_grad=True)
         opt = AdamW([("p", p)], lr=0.1, betas=(0.9, 0.99), eps=1e-8, weight_decay=0.0)
-        p.grad = np.array([0.5, -0.5], dtype=np.float32)
+        p.grad[...] = [0.5, -0.5]
         opt.step()
         # first step: mhat = g, vhat = g^2 -> update = g / (|g| + eps) = sign(g)
         assert np.allclose(p.data, [1.0 - 0.1, -2.0 + 0.1], atol=1e-6)
@@ -98,14 +97,61 @@ class TestOptimizer:
     def test_decoupled_weight_decay_shrinks_without_gradient_coupling(self):
         p = T.Tensor(np.array([2.0], dtype=np.float32), requires_grad=True)
         opt = AdamW([("p", p)], lr=0.1, betas=(0.9, 0.99), weight_decay=0.5)
-        p.grad = np.array([0.0], dtype=np.float32)
+        p.grad[...] = 0.0
         opt.step()
         assert np.allclose(p.data, [2.0 - 0.1 * 0.5 * 2.0])
 
+    @pytest.mark.parametrize("attr", ["grad", "data"])
+    def test_rebound_parameter_is_refused(self, attr):
+        p = T.Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
+        q = T.Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        opt = AdamW([("p", p), ("q", q)], lr=0.1)
+        setattr(q, attr, np.zeros(3, dtype=np.float32))
+        with pytest.raises(T.UsageError, match="q: data or grad was rebound"):
+            opt.step()
+
+    def test_mixed_parameter_dtypes_are_refused(self):
+        p = T.Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
+        q = T.Tensor(np.ones(2, dtype=np.float64), requires_grad=True)
+        with pytest.raises(T.UsageError, match="one dtype"):
+            AdamW([("p", p), ("q", q)])
+
+    def test_whole_array_step_matches_per_parameter_reference(self):
+        """50 steps of the flat update equal, bitwise, the same float32 ops run
+        one parameter at a time."""
+        config = tiny_config()
+        model = build_model(config.backbone_config(), config.seed, dtype=np.float32)
+        named = list(model.named_parameters())
+        beta1, beta2, eps, decay = 0.9, 0.99, 1e-8, 0.03
+        opt = AdamW(named, lr=1e-2, betas=(beta1, beta2), eps=eps, weight_decay=decay)
+        ref = [(p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data))
+               for _, p in named]
+        rng = np.random.default_rng(3)
+        for step in range(1, 51):
+            grads = [rng.standard_normal(p.shape).astype(np.float32) for _, p in named]
+            opt.zero_grad()
+            for (_, p), g in zip(named, grads):
+                (p * T.Tensor(g)).sum().backward()  # leaves exactly g in p.grad
+            lr = warmup_lr(1e-2, step - 1, 10)
+            opt.step(lr)
+            bias1, bias2 = 1.0 - beta1 ** step, 1.0 - beta2 ** step
+            for (data, m, v), g in zip(ref, grads):
+                m *= beta1
+                m += (1.0 - beta1) * g
+                v *= beta2
+                v += (1.0 - beta2) * g * g
+                update = (m / bias1) / (np.sqrt(v / bias2) + eps)
+                data -= lr * (update + decay * data)
+        for (name, p), m, v, (data, ref_m, ref_v) in zip(named, opt.exp_avg,
+                                                         opt.exp_avg_sq, ref):
+            assert np.array_equal(p.data, data), name
+            assert np.array_equal(m, ref_m) and np.array_equal(v, ref_v), name
+
 
 class TestCheckpoint:
-    def build(self, config):
-        model = build_model(config.backbone_config(), config.seed, dtype=np.float32)
+    def build(self, config, model=None):
+        if model is None:
+            model = build_model(config.backbone_config(), config.seed, dtype=np.float32)
         optimizer = AdamW(list(model.named_parameters()), lr=config.learning_rate,
                           betas=(config.beta1, config.beta2),
                           weight_decay=config.weight_decay)
@@ -132,9 +178,8 @@ class TestCheckpoint:
                                      restored.named_parameters()):
             assert np.array_equal(p.data, q.data), name
             assert q.data.dtype == np.float32
-        opt2 = restore_optimizer(snapshot, restored, lr=config.learning_rate,
-                                 betas=(config.beta1, config.beta2),
-                                 weight_decay=config.weight_decay)
+        _, opt2 = self.build(config, restored)
+        opt2.load_state(snapshot.opt_step, snapshot.opt_exp_avg, snapshot.opt_exp_avg_sq)
         assert opt2.step_count == 17
         for m, m2 in zip(optimizer.exp_avg, opt2.exp_avg):
             assert np.array_equal(m, m2)

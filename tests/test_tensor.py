@@ -1,4 +1,5 @@
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -12,6 +13,15 @@ from lmlp import tensor as T
 def rand(shape, seed, requires_grad=False):
     rng = np.random.default_rng(seed)
     return T.Tensor(rng.standard_normal(shape), requires_grad=requires_grad)
+
+
+def f32(values, requires_grad=False):
+    return T.Tensor(np.asarray(values, dtype=np.float32), requires_grad=requires_grad)
+
+
+def twice_big(a):
+    """A loss whose two gradients of ``a`` are finite but sum past float32's range."""
+    return (a * f32([3e38])).sum() + (a * f32([3e38])).sum()
 
 
 def swap_last_two(x):
@@ -374,6 +384,13 @@ class TestBackward:
         loss.backward()
         assert np.allclose(x.grad, 2.0 * np.ones(4))
 
+    def test_leaf_gradients_never_alias(self):
+        a, b = rand((3,), 57, requires_grad=True), rand((3,), 58, requires_grad=True)
+        (a + b).sum().backward()
+        assert a.grad is not b.grad
+        a.grad /= 2
+        assert np.array_equal(b.grad, np.ones(3))
+
     def test_scalar_leaf_loss_gets_unit_grad_and_accumulates(self):
         x = T.Tensor(np.array(3.0), requires_grad=True)
         x.backward()
@@ -533,6 +550,24 @@ class TestEngineInvariants:
         big = T.Tensor(np.full((2, 2), 1e308))
         with pytest.raises(T.NonFiniteError):
             big * big  # noqa: B018 - evaluated for the raise
+
+    @pytest.mark.parametrize("message, run", [
+        ("add produced", lambda: T.add(f32([3e38, 3e38]), f32([3e38, 3e38]))),
+        ("sub produced", lambda: T.sub(f32([3e38, 3e38]), f32([-3e38, -3e38]))),
+        ("layer_norm produced", lambda: T.layer_norm(f32([[3e38, 3e38, -3e38]]), 3,
+                                                     f32([1, 1, 1]), f32([0, 0, 0]))),
+        ("sum produced", lambda: T.tensor_sum(f32([3e38, 3e38]))),
+        ("mean produced", lambda: T.tensor_mean(f32([3e38, 3e38]))),
+        ("matmul backward produced", lambda: T.matmul(
+            f32(np.full((1, 4), 1e-30), True), f32(np.full((4, 4), 3e38), True),
+            f32(np.zeros(4), True), -1).sum().backward()),
+        ("leaf gradient sum produced", lambda: twice_big(f32([1e-30], True)).backward()),
+    ], ids=["add", "sub", "layer_norm", "sum", "mean", "matmul_backward", "leaf_sum"])
+    def test_overflow_names_the_op_without_a_numpy_warning(self, message, run):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(T.NonFiniteError, match=message):
+                run()
 
     def test_mac_counter_counts_matmul_contractions(self):
         w, b = dense_params(2, 5, 71)
