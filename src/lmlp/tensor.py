@@ -18,12 +18,28 @@ no operand into a permuted layout.
 
 The engine refuses to propagate NaN/Inf: any operation whose result is
 non-finite raises ``NonFiniteError`` instead of returning garbage.
+
+Grad mode (``no_grad``) and MAC counters (``count_macs``) are per thread.
+A float32 dense layer of at least 2^25 MACs in one GEMM, or a float32 GELU
+of at least 2^19 elements, runs as two halves: one on the calling thread and
+one on a single worker thread, which only calls numpy. That happens only
+when the process may run on two CPUs and numpy's OpenBLAS runs on one
+thread (``OPENBLAS_NUM_THREADS=1``): an OpenBLAS with threads of its own
+already uses the second core, and splitting on top of it was slower. The
+halves are output-column blocks of the GEMM and element ranges of GELU, so
+the results are bitwise those of the serial op. Desk-scale ops stay below
+both sizes, and the backward ops always run serially. Importing the module
+starts no thread; the worker starts with the first split op.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import itertools
 import math
+import os
+import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -49,20 +65,28 @@ class NonFiniteError(ArithmeticError):
 
 # Numbers recorded ops in execution order, across graphs; never reset.
 _SEQUENCE = itertools.count()
-_GRAD_ENABLED = True
-_MAC_STACK: list["MacCounter"] = []
+
+
+class _ThreadState(threading.local):
+    """Grad mode and open MAC counters: each thread sets and sees its own."""
+
+    def __init__(self):
+        self.grad_enabled = True
+        self.mac_counters: list[MacCounter] = []
+
+
+_STATE = _ThreadState()
 
 
 @contextmanager
 def no_grad():
-    """Disable recording inside the block."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Disable recording inside the block, in the calling thread only."""
+    prev = _STATE.grad_enabled
+    _STATE.grad_enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = prev
+        _STATE.grad_enabled = prev
 
 
 class MacCounter:
@@ -74,23 +98,114 @@ class MacCounter:
 
 @contextmanager
 def count_macs():
-    """Count matmul MACs (M*K*N per contraction, times batch) executed inside."""
+    """Count matmul MACs (M*K*N per contraction, times batch) that the calling
+    thread executes inside."""
     counter = MacCounter()
-    _MAC_STACK.append(counter)
+    _STATE.mac_counters.append(counter)
     try:
         yield counter
     finally:
-        _MAC_STACK.pop()
+        _STATE.mac_counters.pop()
 
 
 def _note_macs(n: int) -> None:
-    for counter in _MAC_STACK:
+    for counter in _STATE.mac_counters:
         counter.total += n
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
     if not np.isfinite(arr).all():
         raise NonFiniteError(f"{op} produced a non-finite value")
+
+
+# ---------------------------------------------------------------------------
+# a second core for large ops
+# ---------------------------------------------------------------------------
+
+# Work from which a float32 op runs as two halves on two threads. Measured on
+# a 2-core x86_64 (AVX-512) with numpy 2.4 and its OpenBLAS on one thread:
+# split, a 334x512x2048 GEMM went from 8-10 to 6 ms and GELU on 334x2048
+# elements from 5.7 to 4.3 ms, but splitting from 2^23 MACs and 2^17
+# elements cut desk-scale guided sampling from ~24 to ~17 images/s. The
+# largest desk-scale GEMM is 11M MACs and the desk GELU 172k elements, so
+# desk-scale ops stay serial; the smallest reference-point GEMM is 57M MACs.
+# One GEMM this large also keeps both halves far above OpenBLAS's
+# small-matrix path (about 10^6 MACs), whose results differ from the
+# blocked kernel's.
+_SPLIT_MIN_MACS = 1 << 25
+_SPLIT_MIN_ELEMENTS = 1 << 19
+
+
+@functools.cache
+def _blas_thread_query():
+    """The loaded OpenBLAS's get-num-threads function, or None if none is found."""
+    try:
+        from numpy._core import _multiarray_umath
+
+        blas_user = ctypes.CDLL(_multiarray_umath.__file__)
+    except (ImportError, OSError):
+        return None
+    for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+        query = getattr(blas_user, name, None)
+        if query is not None:
+            query.argtypes = []
+            query.restype = ctypes.c_int
+            return query
+    return None
+
+
+def _second_core_free() -> bool:
+    """Whether a large op may take a second thread: the process may run on
+    two CPUs and OpenBLAS runs on one thread. With OpenBLAS on two threads,
+    a 334x512x2048 float32 GEMM took 6.3-6.5 ms whole and 6.8-7.6 ms split
+    over two threads on top (2-core x86_64, medians of 60 calls)."""
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        return False
+    query = _blas_thread_query()
+    return query is not None and query() == 1
+
+
+def _forget_worker() -> None:
+    """Drop the worker thread; a forked child has none of its parent's threads."""
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+_forget_worker()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _under_errstate(errors: dict, fn, *args) -> None:
+    # numpy's error state does not reach other threads
+    with np.errstate(**errors):
+        fn(*args)
+
+
+def _split_worker():
+    """The one worker thread, started on first use."""
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _worker = ThreadPoolExecutor(1, thread_name_prefix="lmlp-split")
+        return _worker
+
+
+def _by_halves(fn, n: int, large: bool) -> None:
+    """Run ``fn(0, n)``. A large op with a second core free runs
+    ``fn(n // 2, n)`` on the worker thread and ``fn(0, n // 2)`` here, and
+    returns once both halves have finished."""
+    if not (large and _second_core_free()):
+        fn(0, n)
+        return
+    half = n // 2
+    future = _split_worker().submit(_under_errstate, np.geterr(), fn, half, n)
+    try:
+        fn(0, half)
+    finally:
+        future.result()
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +325,7 @@ def _as_tensor(value, dtype) -> Tensor:
 
 def _recording(operands: tuple[Tensor, ...]) -> bool:
     """Whether an operation on ``operands`` is recorded."""
-    return _GRAD_ENABLED and any(p.requires_grad for p in operands)
+    return _STATE.grad_enabled and any(p.requires_grad for p in operands)
 
 
 def _attach(out: Tensor, operands: tuple[Tensor, ...], vjp) -> Tensor:
@@ -347,18 +462,30 @@ def matmul(x: Tensor, weight: Tensor, bias: Tensor, axis: int) -> Tensor:
     w = weight.data
     # rows * in * out MACs, where rows is the product of every other extent
     _note_macs(x.size * out_dim)
+    # Output features [lo, hi) are a column block of one GEMM, and column
+    # blocks of a float32 GEMM this large are bitwise equal to the whole GEMM
+    # (row blocks and float64 ones were not), so the split changes no bit.
+    if axis == -1:
+        x_in = x.data.reshape(-1, in_dim)
+        y = np.empty((x_in.shape[0], out_dim), np.result_type(x_in, w))
+        out_shape = x.shape[:-1] + (out_dim,)
+        gemm_macs = x.size * out_dim
+
+        def features(lo, hi):
+            np.matmul(x_in, w[lo:hi].T, out=y[:, lo:hi])
+    else:
+        cols = x.shape[-1]
+        x_in = x.data.reshape(-1, in_dim, cols)
+        y = np.empty((x_in.shape[0], out_dim, cols), np.result_type(x_in, w))
+        out_shape = x.shape[:-2] + (out_dim, cols)
+        gemm_macs = in_dim * out_dim * cols
+
+        def features(lo, hi):
+            np.matmul(w[lo:hi], x_in, out=y[:, lo:hi])
     with np.errstate(over="ignore", invalid="ignore"):
-        if axis == -1:
-            x_in = x.data.reshape(-1, in_dim)
-            y = x_in @ w.T
-            y += bias.data
-            out_shape = x.shape[:-1] + (out_dim,)
-        else:
-            cols = x.shape[-1]
-            x_in = x.data.reshape(-1, in_dim, cols)
-            y = np.matmul(w, x_in)
-            y += bias.data[:, None]
-            out_shape = x.shape[:-2] + (out_dim, cols)
+        _by_halves(features, out_dim,
+                   y.dtype == np.float32 and gemm_macs >= _SPLIT_MIN_MACS)
+        y += bias.data if axis == -1 else bias.data[:, None]
     out = Tensor._make(y.reshape(out_shape), "matmul")
     x_shape = x.shape
 
@@ -498,23 +625,32 @@ _LOG_SQRT_2PI = np.float32(0.5 * math.log(2.0 * math.pi))
 _GELU32_BLOCK = 1 << 16
 
 
-def _gelu32(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(x * Phi(x), Phi(x)) of a float32 array, block by block."""
+def _gelu32(x: np.ndarray, with_factor: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """x * Phi(x) of a float32 array and, if asked, its derivative factor
+    Phi(x) + x * phi(x), block by block."""
     out = np.empty_like(x)
-    cdf = np.empty_like(x)
-    flat_x, flat_out, flat_cdf = x.reshape(-1), out.reshape(-1), cdf.reshape(-1)
-    n = flat_x.size
-    scratch = np.empty(min(n, _GELU32_BLOCK), dtype=np.float32)
+    factor = np.empty_like(x) if with_factor else None
+    flat_x, flat_out = x.reshape(-1), out.reshape(-1)
+    flat_factor = None if factor is None else factor.reshape(-1)
+
+    def elements(lo, hi):
+        # scratch rows: t, and Phi when the factor is not kept
+        scratch = np.empty((2, min(hi - lo, _GELU32_BLOCK)), dtype=np.float32)
+        for start in range(lo, hi, _GELU32_BLOCK):
+            stop = min(start + _GELU32_BLOCK, hi)
+            size = stop - start
+            cdf = flat_factor[start:stop] if with_factor else scratch[1, :size]
+            _gelu32_block(flat_x[start:stop], flat_out[start:stop], cdf,
+                          scratch[0, :size], with_factor)
+
     with np.errstate(over="ignore", under="ignore"):
-        for start in range(0, n, _GELU32_BLOCK):
-            stop = min(start + _GELU32_BLOCK, n)
-            _gelu32_block(flat_x[start:stop], flat_out[start:stop],
-                          flat_cdf[start:stop], scratch[:stop - start])
-    return out, cdf
+        _by_halves(elements, flat_x.size, flat_x.size >= _SPLIT_MIN_ELEMENTS)
+    return out, factor
 
 
-def _gelu32_block(x, out, cdf, t) -> None:
-    """Write x * Phi(x) into ``out`` and Phi(x) into ``cdf``; ``t`` is scratch."""
+def _gelu32_block(x, out, cdf, t, with_factor: bool) -> None:
+    """Write x * Phi(x) into ``out`` and Phi(x), or with ``with_factor`` the
+    derivative factor Phi(x) + x * phi(x), into ``cdf``; ``t`` is scratch."""
     np.abs(x, out=out)
     np.add(out, _GELU32_INV_P, out=t)
     np.divide(out, t, out=out)                       # s = pa / (1 + pa)
@@ -535,6 +671,14 @@ def _gelu32_block(x, out, cdf, t) -> None:
     np.subtract(np.float32(1.0), cdf, out=cdf)
     np.minimum(out, cdf, out=cdf)
     np.multiply(x, cdf, out=out)
+    if with_factor:
+        # Phi + x * phi, with phi = exp(-x^2 / 2 - log sqrt(2 pi))
+        np.multiply(x, np.float32(-0.5), out=t)
+        t *= x
+        t -= _LOG_SQRT_2PI
+        np.exp(t, out=t)
+        t *= x
+        cdf += t
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -553,17 +697,8 @@ def gelu(x: Tensor) -> Tensor:
     x_data = x.data
     recording = _recording((x,))
     if x_data.dtype == np.float32:
-        out, cdf = _gelu32(x_data)
+        out, factor = _gelu32(x_data, recording)
         out = Tensor._make(out, "gelu")
-        if recording:
-            # Phi + x * phi, with phi = exp(-x^2 / 2 - log sqrt(2 pi))
-            factor = np.multiply(x_data, np.float32(-0.5))
-            with np.errstate(over="ignore"):
-                factor *= x_data
-            factor -= _LOG_SQRT_2PI
-            np.exp(factor, out=factor)
-            factor *= x_data
-            factor += cdf
     else:
         # Imported here: float64 is the only path that needs scipy, and importing
         # scipy.special at module level would more than double lmlp's import time.
@@ -758,14 +893,21 @@ def backward(loss: Tensor) -> None:
     adjoint: dict[int, np.ndarray] = {id(loss._node): ones}
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for node in _graph_nodes(loss):
-            grads = node.vjp(adjoint.pop(id(node)))
+            g = adjoint.pop(id(node))
+            grads = node.vjp(g)
             for parent, grad in zip(node.parents, grads):
                 if parent is None:
                     continue
-                _check_finite(grad, node.vjp.__qualname__.split(".")[0] + " backward")
+                # every adjoint is checked when it is made, so one passed on
+                # unchanged (add's vjp) needs no second check
+                if grad is not g:
+                    _check_finite(grad, node.vjp.__qualname__.split(".")[0] + " backward")
                 if isinstance(parent, _Node):
                     prev = adjoint.get(id(parent))
-                    adjoint[id(parent)] = grad if prev is None else prev + grad
+                    if prev is not None:
+                        grad = prev + grad
+                        _check_finite(grad, "adjoint sum")
+                    adjoint[id(parent)] = grad
                 else:
                     _accumulate(parent, grad)
 

@@ -1,12 +1,24 @@
-"""A fresh interpreter that imports lmlp and trains and samples in float32
-never loads scipy.special; float64 GELU loads it when first called."""
+"""Fresh interpreters: importing lmlp starts no thread, a float32 run never
+loads scipy.special (float64 GELU loads it when first called), and large ops
+split over two threads only when OpenBLAS runs on one."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(code, *args, **env_vars):
+    env = dict(os.environ, **env_vars)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
 
 SCRIPT = """
 import math
@@ -42,9 +54,31 @@ print("float64 gelu ok")
 
 
 def test_float32_runs_never_load_scipy_special(tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path / "run")],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["after float32: []", "float64 gelu ok"]
+    assert run_python(SCRIPT, str(tmp_path / "run")) == ["after float32: []",
+                                                         "float64 gelu ok"]
+
+
+def test_import_starts_no_thread():
+    lines = run_python("import sys, threading; import lmlp, lmlp.cli; "
+                       "print(threading.active_count(), 'concurrent.futures' in sys.modules)")
+    assert lines == ["1 False"]
+
+
+SPLIT_PROBE = """
+import os
+from lmlp import tensor as T
+print(T._blas_thread_query() is not None, len(os.sched_getaffinity(0)) >= 2,
+      T._second_core_free())
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs sched_getaffinity")
+@pytest.mark.parametrize("blas_threads, splits", [("1", "True"), ("2", "False")])
+def test_large_ops_split_only_with_single_threaded_blas(blas_threads, splits):
+    [line] = run_python(SPLIT_PROBE, OPENBLAS_NUM_THREADS=blas_threads)
+    query_found, two_cpus, free = line.split()
+    if query_found == "False":
+        pytest.skip("numpy's OpenBLAS exports no thread-count query")
+    if two_cpus == "False":
+        pytest.skip("fewer than two CPUs")
+    assert free == splits

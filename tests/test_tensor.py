@@ -1,4 +1,8 @@
 import math
+import os
+import signal
+import threading
+import time
 import warnings
 import weakref
 
@@ -327,6 +331,20 @@ class TestGelu:
         monkeypatch.setattr(special, "erf", refuse)
         T.gelu(T.Tensor(np.linspace(-3.0, 3.0, 7, dtype=np.float32)))
 
+    def test_float32_derivative_factor_is_bitwise_the_whole_array_formula(self):
+        x32, _, _, _ = self.float32_grid()
+        cdf, t = np.empty_like(x32), np.empty_like(x32)
+        T._gelu32_block(x32, np.empty_like(x32), cdf, t, False)
+        factor = np.multiply(x32, np.float32(-0.5))
+        factor *= x32
+        factor -= T._LOG_SQRT_2PI
+        np.exp(factor, out=factor)
+        factor *= x32
+        factor += cdf
+        x = T.Tensor(x32, requires_grad=True)
+        T.gelu(x).sum().backward()
+        assert np.array_equal(x.grad, factor)
+
     def test_float64_is_bitwise_the_erf_form(self):
         x = rand((4, 7), 31).data * 4.0
         expected = x * (0.5 * (1.0 + special.erf(x * (1.0 / math.sqrt(2.0)))))
@@ -562,7 +580,9 @@ class TestEngineInvariants:
             f32(np.full((1, 4), 1e-30), True), f32(np.full((4, 4), 3e38), True),
             f32(np.zeros(4), True), -1).sum().backward()),
         ("leaf gradient sum produced", lambda: twice_big(f32([1e-30], True)).backward()),
-    ], ids=["add", "sub", "layer_norm", "sum", "mean", "matmul_backward", "leaf_sum"])
+        ("adjoint sum produced", lambda: twice_big(f32([1e-30], True) * 1).backward()),
+    ], ids=["add", "sub", "layer_norm", "sum", "mean", "matmul_backward", "leaf_sum",
+            "adjoint_sum"])
     def test_overflow_names_the_op_without_a_numpy_warning(self, message, run):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -580,3 +600,150 @@ class TestEngineInvariants:
         x = T.Tensor([1.0, 2.0, -0.5])
         fd = fd_gradient(lambda: float((x.data ** 3).sum()), x)
         assert max_rel_error(3.0 * x.data ** 2, fd) < 1e-8
+
+
+class TestThreadState:
+    """Grad mode and MAC counters belong to the thread that set them."""
+
+    def test_no_grad_in_another_thread_leaves_recording_on(self):
+        entered, release = threading.Event(), threading.Event()
+
+        def hold():
+            with T.no_grad():
+                entered.set()
+                release.wait(30)
+
+        thread = threading.Thread(target=hold)
+        thread.start()
+        try:
+            assert entered.wait(30)
+            x = rand((2, 2), 60, requires_grad=True)
+            assert (x * x).requires_grad
+        finally:
+            release.set()
+            thread.join(30)
+        assert not thread.is_alive()
+
+    def test_count_macs_counts_only_its_own_thread(self):
+        w, b = dense_params(2, 5, 61)
+        totals = []
+
+        def count_in_thread():
+            with T.count_macs() as counter:
+                T.matmul(rand((3, 5), 62), w, b, -1)
+            totals.append(counter.total)
+
+        with T.count_macs() as counter:
+            thread = threading.Thread(target=count_in_thread)
+            thread.start()
+            thread.join(30)
+        assert not thread.is_alive()
+        assert totals == [3 * 5 * 2]
+        assert counter.total == 0
+
+
+def force_split(monkeypatch, on):
+    """Switch the two-thread split of large ops on or off; the returned list
+    grows by one each time a large op asks whether to split."""
+    asked = []
+    monkeypatch.setattr(T, "_second_core_free", lambda: asked.append(1) or on)
+    return asked
+
+
+class TestSplit:
+    """Large float32 ops split over two threads give the serial result bitwise."""
+
+    @staticmethod
+    def both_ways(monkeypatch, run):
+        """run() with the split off and then forced on, and how many ops split."""
+        force_split(monkeypatch, False)
+        serial = run()
+        asked = force_split(monkeypatch, True)
+        return serial, run(), len(asked)
+
+    # (x shape, out_dim, axis); the first three are the reference point's
+    # channel MLP up and down projections and its token-mixing layer.
+    @pytest.mark.parametrize("shape, out_dim, axis", [
+        ((2, 334, 512), 2048, -1),
+        ((1, 334, 2048), 512, -1),
+        ((2, 334, 512), 334, -2),
+        ((1, 334, 512), 2049, -1),
+        ((2, 334, 512), 667, -2),
+    ])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dense_forward_is_bitwise_the_serial_one(self, monkeypatch, shape, out_dim,
+                                                     axis, dtype):
+        rng = np.random.default_rng(80)
+        x = T.Tensor(rng.standard_normal(shape).astype(dtype))
+        in_dim = shape[axis]
+        w = T.Tensor(rng.standard_normal((out_dim, in_dim)).astype(dtype))
+        b = T.Tensor(rng.standard_normal(out_dim).astype(dtype))
+        serial, split, splits = self.both_ways(monkeypatch,
+                                               lambda: T.matmul(x, w, b, axis).data)
+        assert np.array_equal(serial, split)
+        # float64 column blocks are not bitwise the whole GEMM, so it stays serial
+        assert splits == (1 if dtype == np.float32 else 0)
+
+    def test_gelu_is_bitwise_the_serial_one_up_to_huge_inputs(self, monkeypatch):
+        values = np.random.default_rng(81).standard_normal(T._SPLIT_MIN_ELEMENTS + 3) * 4
+        values[::1000] = 1e30
+        values[1::1000] = -1e30
+        x = T.Tensor(values.astype(np.float32), requires_grad=True)
+
+        def run():
+            x.zero_grad()
+            out = T.gelu(x)
+            out.sum().backward()
+            return out.data, x.grad
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (serial_out, serial_grad), (out, grad), splits = self.both_ways(monkeypatch, run)
+        assert splits == 1
+        assert np.array_equal(serial_out, out)
+        assert np.array_equal(serial_grad, grad)
+
+    def test_non_finite_split_op_names_the_op(self, monkeypatch):
+        force_split(monkeypatch, True)
+        x = f32(np.full((1, 334, 512), 1e20))
+        w = f32(np.full((2048, 512), 1e20))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(T.NonFiniteError, match="matmul produced"):
+                T.matmul(x, w, f32(np.zeros(2048)), -1)
+
+    def test_mac_count_is_the_serial_one(self, monkeypatch):
+        rng = np.random.default_rng(82)
+        x = f32(rng.standard_normal((1, 334, 512)))
+        w, b = f32(rng.standard_normal((2048, 512))), f32(np.zeros(2048))
+
+        def run():
+            with T.count_macs() as counter:
+                T.matmul(x, w, b, -1)
+            return counter.total
+
+        serial, split, splits = self.both_ways(monkeypatch, run)
+        assert splits == 1
+        assert split == serial == 334 * 512 * 2048
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_runs_a_split_op(self, monkeypatch):
+        force_split(monkeypatch, True)
+        x = f32(np.ones(T._SPLIT_MIN_ELEMENTS))
+        T.gelu(x)                                    # the parent's worker now runs
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                T.gelu(x)
+                code = 0
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert done[0] == pid, "the forked child hung"
+        assert os.waitstatus_to_exitcode(done[1]) == 0
