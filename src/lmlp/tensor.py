@@ -20,16 +20,19 @@ The engine refuses to propagate NaN/Inf: any operation whose result is
 non-finite raises ``NonFiniteError`` instead of returning garbage.
 
 Grad mode (``no_grad``) and MAC counters (``count_macs``) are per thread.
-A float32 dense layer of at least 2^25 MACs in one GEMM, or a float32 GELU
-of at least 2^19 elements, runs as two halves: one on the calling thread and
-one on a single worker thread, which only calls numpy. That happens only
-when the process may run on two CPUs and numpy's OpenBLAS runs on one
-thread (``OPENBLAS_NUM_THREADS=1``): an OpenBLAS with threads of its own
-already uses the second core, and splitting on top of it was slower. The
-halves are output-column blocks of the GEMM and element ranges of GELU, so
-the results are bitwise those of the serial op. Desk-scale ops stay below
-both sizes, and the backward ops always run serially. Importing the module
-starts no thread; the worker starts with the first split op.
+A float32 dense layer of at least 2^25 MACs in one GEMM, a float32 GELU of
+at least 2^19 elements, or an attention of at least two heads and 2^25 MACs
+runs as two halves: one on the calling thread and one on a single worker
+thread, which only calls numpy. That happens only when the process may run
+on two CPUs and numpy's OpenBLAS runs on one thread
+(``OPENBLAS_NUM_THREADS=1``): an OpenBLAS with threads of its own already
+uses the second core, and splitting on top of it was slower. The halves are
+output-column blocks of the GEMM, element ranges of GELU and head ranges of
+attention, so the results are bitwise those of the serial op. Each half does
+its op's whole job on its part, bias add and finiteness check included.
+Desk-scale ops stay below every size, desk attention has one head, and the
+backward ops always run serially. Importing the module starts no thread;
+the worker starts with the first split op.
 """
 
 from __future__ import annotations
@@ -122,7 +125,7 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
 # a second core for large ops
 # ---------------------------------------------------------------------------
 
-# Work from which a float32 op runs as two halves on two threads. Measured on
+# Work from which an op runs as two halves on two threads. Measured on
 # a 2-core x86_64 (AVX-512) with numpy 2.4 and its OpenBLAS on one thread:
 # split, a 334x512x2048 GEMM went from 8-10 to 6 ms and GELU on 334x2048
 # elements from 5.7 to 4.3 ms, but splitting from 2^23 MACs and 2^17
@@ -131,7 +134,8 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
 # desk-scale ops stay serial; the smallest reference-point GEMM is 57M MACs.
 # One GEMM this large also keeps both halves far above OpenBLAS's
 # small-matrix path (about 10^6 MACs), whose results differ from the
-# blocked kernel's.
+# blocked kernel's. Attention splits by heads from the same MAC count; the
+# reference point's 8-head attention is 114M MACs.
 _SPLIT_MIN_MACS = 1 << 25
 _SPLIT_MIN_ELEMENTS = 1 << 19
 
@@ -251,6 +255,11 @@ class Tensor:
     def _make(cls, arr: np.ndarray, op: str) -> "Tensor":
         """Engine-internal constructor: one finiteness check, no copies."""
         _check_finite(arr, op)
+        return cls._wrap(arr)
+
+    @classmethod
+    def _wrap(cls, arr: np.ndarray) -> "Tensor":
+        """Engine-internal constructor for a result its op has already checked."""
         out = cls.__new__(cls)
         out.data = np.ascontiguousarray(arr)
         out.grad = None
@@ -472,7 +481,10 @@ def matmul(x: Tensor, weight: Tensor, bias: Tensor, axis: int) -> Tensor:
         gemm_macs = x.size * out_dim
 
         def features(lo, hi):
-            np.matmul(x_in, w[lo:hi].T, out=y[:, lo:hi])
+            block = y[:, lo:hi]
+            np.matmul(x_in, w[lo:hi].T, out=block)
+            block += bias.data[lo:hi]
+            _check_finite(block, "matmul")
     else:
         cols = x.shape[-1]
         x_in = x.data.reshape(-1, in_dim, cols)
@@ -481,26 +493,31 @@ def matmul(x: Tensor, weight: Tensor, bias: Tensor, axis: int) -> Tensor:
         gemm_macs = in_dim * out_dim * cols
 
         def features(lo, hi):
-            np.matmul(w[lo:hi], x_in, out=y[:, lo:hi])
+            block = y[:, lo:hi]
+            np.matmul(w[lo:hi], x_in, out=block)
+            block += bias.data[lo:hi, None]
+            _check_finite(block, "matmul")
     with np.errstate(over="ignore", invalid="ignore"):
         _by_halves(features, out_dim,
                    y.dtype == np.float32 and gemm_macs >= _SPLIT_MIN_MACS)
-        y += bias.data if axis == -1 else bias.data[:, None]
-    out = Tensor._make(y.reshape(out_shape), "matmul")
+    out = Tensor._wrap(y.reshape(out_shape))
     x_shape = x.shape
+    # as in mul, no dx for an input that needs no gradient, such as the image
+    # patches and time features that the backbone embeds
+    need_dx = x.requires_grad
 
     def vjp(g):
         if axis == -1:
             g_out = g.reshape(-1, out_dim)
-            dx = g_out @ w
+            dx = (g_out @ w).reshape(x_shape) if need_dx else None
             dw = g_out.T @ x_in
             db = _sum_except(g_out, -1)
         else:
             g_out = g.reshape(-1, out_dim, cols)
-            dx = np.matmul(w.T, g_out)
+            dx = np.matmul(w.T, g_out).reshape(x_shape) if need_dx else None
             dw = _fold_rows(g_out) @ _fold_rows(x_in).T
             db = _sum_except(g_out, -2)
-        return dx.reshape(x_shape), dw, db
+        return dx, dw, db
 
     return _record(out, (x, weight, bias), vjp)
 
@@ -626,8 +643,8 @@ _GELU32_BLOCK = 1 << 16
 
 
 def _gelu32(x: np.ndarray, with_factor: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """x * Phi(x) of a float32 array and, if asked, its derivative factor
-    Phi(x) + x * phi(x), block by block."""
+    """x * Phi(x) of a float32 array, checked finite, and, if asked, its
+    derivative factor Phi(x) + x * phi(x), block by block."""
     out = np.empty_like(x)
     factor = np.empty_like(x) if with_factor else None
     flat_x, flat_out = x.reshape(-1), out.reshape(-1)
@@ -642,6 +659,7 @@ def _gelu32(x: np.ndarray, with_factor: bool) -> tuple[np.ndarray, np.ndarray | 
             cdf = flat_factor[start:stop] if with_factor else scratch[1, :size]
             _gelu32_block(flat_x[start:stop], flat_out[start:stop], cdf,
                           scratch[0, :size], with_factor)
+            _check_finite(flat_out[start:stop], "gelu")
 
     with np.errstate(over="ignore", under="ignore"):
         _by_halves(elements, flat_x.size, flat_x.size >= _SPLIT_MIN_ELEMENTS)
@@ -698,7 +716,7 @@ def gelu(x: Tensor) -> Tensor:
     recording = _recording((x,))
     if x_data.dtype == np.float32:
         out, factor = _gelu32(x_data, recording)
-        out = Tensor._make(out, "gelu")
+        out = Tensor._wrap(out)
     else:
         # Imported here: float64 is the only path that needs scipy, and importing
         # scipy.special at module level would more than double lmlp's import time.
@@ -796,7 +814,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     Heads are split and joined as strided views of the (B, L, D) arrays, so
     nothing is copied into a head-major layout. One recorded op; its vjp
     returns dq, dk and dv in (B, L, D) layout. It counts 2 * B * L^2 * D
-    MACs: the logits and the weighted sum of values.
+    MACs: the logits and the weighted sum of values. With at least two heads
+    and 2^25 MACs, the forward may run as two halves of the heads.
     """
     if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
         raise ShapeError(f"attention needs equal (B, L, D) operands, got "
@@ -806,17 +825,28 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         raise ShapeError(f"embed_dim {dim} does not split into {heads} heads")
     q_h, k_h, v_h = (_split_heads(t.data, heads) for t in (q, k, v))
     scale = np.asarray(1.0 / math.sqrt(dim // heads), dtype=q.dtype)
-    _note_macs(2 * batch * seq * seq * dim)
-    with np.errstate(over="ignore", invalid="ignore"):
-        weights = np.matmul(q_h, k_h.swapaxes(-1, -2))
-        weights *= scale
-    _check_finite(weights, "attention")
-    weights -= weights.max(axis=-1, keepdims=True)
-    np.exp(weights, out=weights)
-    weights /= weights.sum(axis=-1, keepdims=True)
+    macs = 2 * batch * seq * seq * dim
+    _note_macs(macs)
+    weights = np.empty((batch, heads, seq, seq), np.result_type(q.data, k.data))
     y = np.empty_like(q.data)
-    np.matmul(weights, v_h, out=_split_heads(y, heads))
-    out = Tensor._make(y, "attention")
+    y_h = _split_heads(y, heads)
+
+    # Each head's GEMMs and row-wise softmax are the same whichever heads run
+    # beside it, so a split by heads changes no bit.
+    def head_range(lo, hi):
+        w = weights[:, lo:hi]
+        np.matmul(q_h[:, lo:hi], k_h[:, lo:hi].swapaxes(-1, -2), out=w)
+        w *= scale
+        _check_finite(w, "attention")
+        w -= w.max(axis=-1, keepdims=True)
+        np.exp(w, out=w)
+        w /= w.sum(axis=-1, keepdims=True)
+        np.matmul(w, v_h[:, lo:hi], out=y_h[:, lo:hi])
+        _check_finite(y_h[:, lo:hi], "attention")
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        _by_halves(head_range, heads, heads >= 2 and macs >= _SPLIT_MIN_MACS)
+    out = Tensor._wrap(y)
 
     def vjp(g):
         g_h = _split_heads(g, heads)

@@ -64,11 +64,16 @@ def test_import_starts_no_thread():
     assert lines == ["1 False"]
 
 
+# The last field: whether an 8-head float32 attention at the reference point
+# (L=334, D=512) started the worker thread.
 SPLIT_PROBE = """
 import os
+import numpy as np
 from lmlp import tensor as T
+q = T.Tensor(np.random.default_rng(0).standard_normal((1, 334, 512)).astype(np.float32))
+T.attention(q, q, q, 8)
 print(T._blas_thread_query() is not None, len(os.sched_getaffinity(0)) >= 2,
-      T._second_core_free())
+      T._second_core_free(), T._worker is not None)
 """
 
 
@@ -76,9 +81,10 @@ print(T._blas_thread_query() is not None, len(os.sched_getaffinity(0)) >= 2,
 @pytest.mark.parametrize("blas_threads, splits", [("1", "True"), ("2", "False")])
 def test_large_ops_split_only_with_single_threaded_blas(blas_threads, splits):
     [line] = run_python(SPLIT_PROBE, OPENBLAS_NUM_THREADS=blas_threads)
-    query_found, two_cpus, free = line.split()
+    query_found, two_cpus, free, attention_split = line.split()
     if query_found == "False":
         pytest.skip("numpy's OpenBLAS exports no thread-count query")
     if two_cpus == "False":
         pytest.skip("fewer than two CPUs")
     assert free == splits
+    assert attention_split == splits

@@ -125,6 +125,16 @@ class TestDense:
         w, b = dense_params(4, 3, 70)
         assert len(T._graph_nodes(T.matmul(x, w, b, axis=-1))) == 1
 
+    @pytest.mark.parametrize("axis", [-1, -2])
+    @pytest.mark.parametrize("x_grad", [False, True])
+    def test_input_gradient_only_when_the_input_needs_one(self, axis, x_grad):
+        x = rand((2, 3, 3), 72, requires_grad=x_grad)
+        w, b = dense_params(4, 3, 73)
+        out = T.matmul(x, w, b, axis)
+        dx, dw, db = out._node.vjp(np.ones(out.shape))
+        assert (dx is not None) == x_grad
+        assert dw.shape == w.shape and db.shape == b.shape
+
     @pytest.mark.parametrize("axis", [0, 1, -3, 2])
     def test_bad_axis_rejected(self, axis):
         w, b = dense_params(4, 3, 71)
@@ -651,7 +661,7 @@ def force_split(monkeypatch, on):
 
 
 class TestSplit:
-    """Large float32 ops split over two threads give the serial result bitwise."""
+    """Large ops split over two threads give the serial result bitwise."""
 
     @staticmethod
     def both_ways(monkeypatch, run):
@@ -725,6 +735,68 @@ class TestSplit:
         serial, split, splits = self.both_ways(monkeypatch, run)
         assert splits == 1
         assert split == serial == 334 * 512 * 2048
+
+    def test_bias_overflow_in_the_workers_half_names_the_op(self, monkeypatch):
+        force_split(monkeypatch, True)
+        bias = np.zeros(2048, dtype=np.float32)
+        bias[1024:] = 3e38  # only in the worker's half of the columns
+        x = f32(np.ones((1, 334, 512)))
+        w = f32(np.full((2048, 512), 1e35))  # every GEMM entry is 5.1e37
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(T.NonFiniteError, match="matmul produced a non-finite value"):
+                T.matmul(x, w, f32(bias), -1)
+
+    # (batch, heads, embed_dim) at the reference point's 334 tokens
+    @pytest.mark.parametrize("batch, heads, dim", [(1, 8, 512), (2, 8, 512), (1, 3, 384)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_attention_is_bitwise_the_serial_one(self, monkeypatch, batch, heads, dim,
+                                                 dtype):
+        rng = np.random.default_rng(83)
+        q, k, v = (T.Tensor(rng.standard_normal((batch, 334, dim)).astype(dtype),
+                            requires_grad=True) for _ in range(3))
+        g = T.Tensor(rng.standard_normal((batch, 334, dim)).astype(dtype))
+
+        def run():
+            for t in (q, k, v):
+                t.zero_grad()
+            out = T.attention(q, k, v, heads)
+            (out * g).sum().backward()
+            return out.data, q.grad, k.grad, v.grad
+
+        serial, split, splits = self.both_ways(monkeypatch, run)
+        assert splits == 1
+        for a, b in zip(serial, split):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("head", [0, 7], ids=["callers_half", "workers_half"])
+    def test_non_finite_attention_in_either_half_names_the_op(self, monkeypatch, head):
+        force_split(monkeypatch, True)
+        q = np.ones((1, 334, 512), dtype=np.float32)
+        q[..., head * 64:(head + 1) * 64] = 1e30
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(T.NonFiniteError, match="attention produced a non-finite value"):
+                T.attention(f32(q), f32(q), f32(np.ones_like(q)), 8)
+
+    def test_attention_mac_count_is_the_serial_one(self, monkeypatch):
+        q = f32(np.random.default_rng(84).standard_normal((1, 334, 512)))
+
+        def run():
+            with T.count_macs() as counter:
+                T.attention(q, q, q, 8)
+            return counter.total
+
+        serial, split, splits = self.both_ways(monkeypatch, run)
+        assert splits == 1
+        assert split == serial == 2 * 334 * 334 * 512
+
+    def test_one_head_attention_never_splits(self, monkeypatch):
+        q = f32(np.random.default_rng(85).standard_normal((1, 334, 512)))
+        serial, split, splits = self.both_ways(monkeypatch,
+                                               lambda: T.attention(q, q, q, 1).data)
+        assert splits == 0
+        assert np.array_equal(serial, split)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_runs_a_split_op(self, monkeypatch):
