@@ -50,10 +50,9 @@ def extract_first_stage(model, layer: int, side: str) -> WeightMap:
         raise UnsupportedLayerError(f"layer {layer} is a {type(block).__name__}, "
                                     "not a two-branch block")
     if side == "left":
-        weight = block.fnn_l.linear.weight.data.copy()
-        text = model.config.text_tokens
-        return WeightMap(weight, "left", layer, boundaries=(1, 1 + text))
-    return WeightMap(block.fnn_r.linear.weight.data.copy(), "right", layer)
+        return WeightMap(block.fnn_l.weight.data.copy(), "left", layer,
+                         boundaries=model.config.token_boundaries)
+    return WeightMap(block.fnn_r.weight.data.copy(), "right", layer)
 
 
 def normalize_unit(wmap: WeightMap) -> WeightMap:

@@ -17,6 +17,7 @@ from . import tensor as T
 from .blocks import (
     LayerNorm,
     LinearLayer,
+    Module,
     UnsupportedBlockError,
     make_block,
     preset_config,
@@ -99,8 +100,14 @@ class BackboneConfig:
         return (self.image_side // self.patch) ** 2
 
     @property
+    def token_boundaries(self) -> tuple[int, int]:
+        """Where the text and the image tokens start in the
+        [time | text | image] sequence."""
+        return 1, 1 + self.text_tokens
+
+    @property
     def seq_len(self) -> int:
-        return self.image_tokens + self.text_tokens + 1
+        return self.token_boundaries[1] + self.image_tokens
 
     def validate(self) -> None:
         if self.patch < 1 or self.image_side % self.patch:
@@ -129,7 +136,17 @@ class BackboneConfig:
 # model
 # ---------------------------------------------------------------------------
 
-class UlMlpModel:
+class Embedding(Module):
+    """Lookup table: each id selects one trainable row."""
+
+    def __init__(self, rows: int, dim: int, rng: np.random.Generator, dtype=np.float64):
+        self.table = Tensor(trunc_normal(rng, (rows, dim)).astype(dtype), requires_grad=True)
+
+    def __call__(self, ids: np.ndarray) -> Tensor:
+        return T.gather_rows(self.table, ids)
+
+
+class UlMlpModel(Module):
     """Token backbone with floor(depth/2) encoder/decoder skip pairs."""
 
     def __init__(self, config: BackboneConfig, rng: np.random.Generator, dtype=np.float64):
@@ -140,20 +157,16 @@ class UlMlpModel:
         dim = config.embed_dim
         self.patch_embed = LinearLayer(patch_in, dim, rng, dtype)
         self.time_embed = LinearLayer(dim, dim, rng, dtype)
-        self.text_embed = Tensor(trunc_normal(rng, (config.vocab_size, dim)).astype(dtype),
-                                 requires_grad=True)
+        self.text_embed = Embedding(config.vocab_size, dim, rng, dtype)
         block_cfg = preset_config(config.preset, config.seq_len, dim, config.mlp_scale)
         self.blocks = [make_block(block_cfg, rng, dtype) for _ in range(config.depth)]
         self.final_norm = LayerNorm(dim, dtype)
         self.head = LinearLayer(dim, patch_in, rng, dtype)
         if config.head_kind == "conv3x3_postprocess":
             c = config.in_channels
-            self.head_conv_weight = Tensor(trunc_normal(rng, (c, 9 * c)).astype(dtype),
-                                           requires_grad=True)
-            self.head_conv_bias = Tensor(np.zeros(c, dtype=dtype), requires_grad=True)
+            self.head_conv = LinearLayer(9 * c, c, rng, dtype)
         else:
-            self.head_conv_weight = None
-            self.head_conv_bias = None
+            self.head_conv = None
 
     # -- embedding ----------------------------------------------------------
     def embed_timestep(self, t) -> Tensor:
@@ -168,7 +181,7 @@ class UlMlpModel:
             raise T.ShapeError(
                 f"text ids must be (B, {self.config.text_tokens}), got {text_ids.shape}"
             )
-        return T.gather_rows(self.text_embed, text_ids)
+        return self.text_embed(text_ids)
 
     def assemble_tokens(self, img_tokens: Tensor, text_ids: np.ndarray, t) -> Tensor:
         """Join [time | text | image] embeddings into one B x L x D sequence:
@@ -199,11 +212,11 @@ class UlMlpModel:
         """Project the image tokens (after the time and text tokens) back to
         B x C x H x W."""
         cfg = self.config
-        start = 1 + cfg.text_tokens
+        start = cfg.token_boundaries[1]
         img = T.narrow(tokens, 1, start, tokens.shape[1] - start)
         pixels = self.head(img)
         out = unpatchify(pixels, cfg.image_side, cfg.in_channels, cfg.patch)
-        if self.head_conv_weight is not None:
+        if self.head_conv is not None:
             out = self._conv3x3(out)
         return out
 
@@ -219,7 +232,7 @@ class UlMlpModel:
         zero = Tensor(np.zeros((1, 1), dtype=img.dtype))
         table = T.concat([T.reshape(img, (size, 1)), zero], axis=0)
         windows = T.reshape(T.gather_rows(table, ids), (batch, side, side, 9 * channels))
-        mixed = T.matmul(windows, self.head_conv_weight, self.head_conv_bias, -1)
+        mixed = self.head_conv(windows)
         return T.permute(mixed, (0, 3, 1, 2))
 
     def forward(self, x_t: Tensor, text_ids: np.ndarray, t) -> Tensor:
@@ -239,23 +252,6 @@ class UlMlpModel:
 
     __call__ = forward
 
-    # -- parameters ---------------------------------------------------------
-    def named_parameters(self):
-        yield from self.patch_embed.named_parameters("patch_embed.")
-        yield from self.time_embed.named_parameters("time_embed.")
-        yield "text_embed.table", self.text_embed
-        for index, block in enumerate(self.blocks):
-            yield from block.named_parameters(f"blocks.{index}.")
-        yield from self.final_norm.named_parameters("final_norm.")
-        yield from self.head.named_parameters("head.")
-        if self.head_conv_weight is not None:
-            yield "head_conv.weight", self.head_conv_weight
-            yield "head_conv.bias", self.head_conv_bias
-
-    def parameters(self):
-        for _, p in self.named_parameters():
-            yield p
-
 
 def build_model(config: BackboneConfig, seed: int, dtype=np.float64) -> UlMlpModel:
     """Deterministic model construction: same seed, bitwise-identical weights."""
@@ -265,6 +261,7 @@ def build_model(config: BackboneConfig, seed: int, dtype=np.float64) -> UlMlpMod
 __all__ = [
     "BackboneConfig",
     "ConfigError",
+    "Embedding",
     "HEAD_KINDS",
     "SKIP_MODES",
     "UlMlpModel",

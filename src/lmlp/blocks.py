@@ -47,7 +47,26 @@ def trunc_normal(rng: np.random.Generator, shape, std: float = INIT_STD) -> np.n
 # layers
 # ---------------------------------------------------------------------------
 
-class LinearLayer:
+class Module:
+    """Names its parameters from its attributes, in assignment order."""
+
+    def named_parameters(self, prefix: str = ""):
+        """(name, tensor) for every trainable tensor reachable from the
+        attributes, in the order ``__init__`` assigned them: a tensor is named
+        by its attribute, a submodule's parameters go under ``attr.`` and a
+        list's under ``attr.<index>.``. This order is the checkpoint's record
+        order and AdamW's buffer order."""
+        for attr, value in vars(self).items():
+            if isinstance(value, Tensor) and value.requires_grad:
+                yield prefix + attr, value
+            elif isinstance(value, Module):
+                yield from value.named_parameters(f"{prefix}{attr}.")
+            elif isinstance(value, list):
+                for index, item in enumerate(value):
+                    yield from item.named_parameters(f"{prefix}{attr}.{index}.")
+
+
+class LinearLayer(Module):
     """y = x @ W^T + b over the trailing extent (``axis=-1``), or y = W @ x + b
     over the extent before it (``axis=-2``); every other extent passes through."""
 
@@ -61,12 +80,8 @@ class LinearLayer:
     def __call__(self, x: Tensor) -> Tensor:
         return T.matmul(x, self.weight, self.bias, self.axis)
 
-    def named_parameters(self, prefix: str = ""):
-        yield prefix + "weight", self.weight
-        yield prefix + "bias", self.bias
 
-
-class LayerNorm:
+class LayerNorm(Module):
     """Normalizes the extent at ``axis`` (-1: trailing, -2: the one before it)."""
 
     def __init__(self, extent: int, dtype=np.float64, eps: float = 1e-6, axis: int = -1):
@@ -80,12 +95,8 @@ class LayerNorm:
         return T.layer_norm(x, self.extent, self.gain, self.bias, eps=self.eps,
                             axis=self.axis)
 
-    def named_parameters(self, prefix: str = ""):
-        yield prefix + "gain", self.gain
-        yield prefix + "bias", self.bias
 
-
-class MlpLayer:
+class MlpLayer(Module):
     """Two-layer MLP with a GELU between, over the extent at ``axis``; output
     extent equals input extent."""
 
@@ -97,30 +108,23 @@ class MlpLayer:
     def __call__(self, x: Tensor) -> Tensor:
         return self.fc2(T.gelu(self.fc1(x)))
 
-    def named_parameters(self, prefix: str = ""):
-        yield from self.fc1.named_parameters(prefix + "fc1.")
-        yield from self.fc2.named_parameters(prefix + "fc2.")
-
 
 def mlp_hidden(dim: int, scale: float) -> int:
     """Hidden width for a given capacity scale factor (at least 1)."""
     return max(1, round(scale * dim))
 
 
-class BranchNet:
+class BranchNet(LinearLayer):
     """Square map over the extent at ``axis``: Linear, optionally followed by GELU."""
 
     def __init__(self, extent: int, with_gelu: bool, rng: np.random.Generator,
                  dtype=np.float64, axis: int = -1):
-        self.linear = LinearLayer(extent, extent, rng, dtype, axis=axis)
+        super().__init__(extent, extent, rng, dtype, axis=axis)
         self.with_gelu = with_gelu
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = self.linear(x)
+        out = super().__call__(x)
         return T.gelu(out) if self.with_gelu else out
-
-    def named_parameters(self, prefix: str = ""):
-        yield from self.linear.named_parameters(prefix)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +217,7 @@ def _check_tokens(x: Tensor, cfg: BlockConfig) -> None:
         )
 
 
-class LmlpBlock:
+class LmlpBlock(Module):
     """Two-branch block: normalize and square-map the token axis (left) and the
     channel axis (right), merge, project, residual, then an optional joint
     channel MLP."""
@@ -261,19 +265,8 @@ class LmlpBlock:
 
     __call__ = forward
 
-    def named_parameters(self, prefix: str = ""):
-        yield from self.norm_r.named_parameters(prefix + "norm_r.")
-        yield from self.norm_l.named_parameters(prefix + "norm_l.")
-        yield from self.fnn_r.named_parameters(prefix + "fnn_r.")
-        yield from self.fnn_l.named_parameters(prefix + "fnn_l.")
-        if self.merge_proj is not None:
-            yield from self.merge_proj.named_parameters(prefix + "merge_proj.")
-        if self.fnn_c is not None:
-            yield from self.norm_2.named_parameters(prefix + "norm_2.")
-            yield from self.fnn_c.named_parameters(prefix + "fnn_c.")
 
-
-class TransformerBlock:
+class TransformerBlock(Module):
     """Pre-norm multi-head self-attention plus pre-norm MLP, standard residuals."""
 
     def __init__(self, cfg: BlockConfig, rng: np.random.Generator, dtype=np.float64):
@@ -301,15 +294,8 @@ class TransformerBlock:
 
     __call__ = forward
 
-    def named_parameters(self, prefix: str = ""):
-        yield from self.norm_1.named_parameters(prefix + "norm_1.")
-        for tag, layer in (("q", self.w_q), ("k", self.w_k), ("v", self.w_v), ("o", self.w_o)):
-            yield from layer.named_parameters(prefix + f"w_{tag}.")
-        yield from self.norm_2.named_parameters(prefix + "norm_2.")
-        yield from self.mlp.named_parameters(prefix + "mlp.")
 
-
-class MixerBlock:
+class MixerBlock(Module):
     """Pre-norm token-mixing MLP over L, then pre-norm channel-mixing MLP over D."""
 
     def __init__(self, cfg: BlockConfig, rng: np.random.Generator, dtype=np.float64):
@@ -330,14 +316,8 @@ class MixerBlock:
 
     __call__ = forward
 
-    def named_parameters(self, prefix: str = ""):
-        yield from self.norm_1.named_parameters(prefix + "norm_1.")
-        yield from self.token_mlp.named_parameters(prefix + "token_mlp.")
-        yield from self.norm_2.named_parameters(prefix + "norm_2.")
-        yield from self.channel_mlp.named_parameters(prefix + "channel_mlp.")
 
-
-class GmlpBlock:
+class GmlpBlock(Module):
     """Pre-norm channel expansion with a spatial gating unit over the token axis.
 
     One half of the expanded channels gates the other half after the latter is
@@ -367,13 +347,6 @@ class GmlpBlock:
         return out
 
     __call__ = forward
-
-    def named_parameters(self, prefix: str = ""):
-        yield from self.norm_in.named_parameters(prefix + "norm_in.")
-        yield from self.proj_in.named_parameters(prefix + "proj_in.")
-        yield from self.norm_gate.named_parameters(prefix + "norm_gate.")
-        yield from self.spatial.named_parameters(prefix + "spatial.")
-        yield from self.proj_out.named_parameters(prefix + "proj_out.")
 
 
 Block = LmlpBlock | TransformerBlock | MixerBlock | GmlpBlock
@@ -422,6 +395,7 @@ __all__ = [
     "LmlpBlock",
     "MixerBlock",
     "MlpLayer",
+    "Module",
     "PRESET_NAMES",
     "TransformerBlock",
     "UnsupportedBlockError",

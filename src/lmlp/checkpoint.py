@@ -175,13 +175,17 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def restore_model(snapshot: Checkpoint) -> UlMlpModel:
-    """Rebuild the model from the embedded config and overwrite every parameter."""
+    """Rebuild the model from the embedded config and overwrite every parameter.
+
+    The stored records must name the model's parameters in the model's order,
+    because the optimizer moments follow them by position."""
     model = build_model(snapshot.config.backbone_config(), snapshot.config.seed,
                         dtype=np.float32)
-    names = {name for name, _ in model.named_parameters()}
-    if names != set(snapshot.params):
-        missing = names.symmetric_difference(snapshot.params)
-        raise CheckpointError(f"parameter names do not match the config: {sorted(missing)}")
+    names = [name for name, _ in model.named_parameters()]
+    if names != list(snapshot.params):
+        unmatched = sorted(set(names).symmetric_difference(snapshot.params))
+        raise CheckpointError("parameter records do not list the model's names in its "
+                              f"order (names on one side only: {unmatched})")
     for name, param in model.named_parameters():
         stored = snapshot.params[name]
         if stored.shape != param.shape:

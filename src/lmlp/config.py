@@ -80,8 +80,7 @@ class RunConfig:
         return NoiseSchedule(self.train_timesteps, self.beta_start, self.beta_end)
 
     def guidance_config(self) -> GuidanceConfig:
-        return GuidanceConfig(caption_keep_prob=self.caption_keep_prob,
-                              null_id=dataset.NULL_ID)
+        return GuidanceConfig(caption_keep_prob=self.caption_keep_prob)
 
     def sampler_config(self) -> SamplerConfig:
         return SamplerConfig(num_steps=self.sample_steps)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as T
+from . import dataset, tensor as T
 from .tensor import Tensor
 
 
@@ -58,10 +58,9 @@ def check_timesteps(t, num_steps: int) -> np.ndarray:
 @dataclass(frozen=True)
 class GuidanceConfig:
     """Training-side guidance: captions are kept with ``caption_keep_prob``
-    and otherwise replaced by ``null_id``."""
+    and otherwise replaced by the null caption ``dataset.NULL_ID``."""
 
     caption_keep_prob: float = 0.9
-    null_id: int = 0
 
     def validate(self) -> None:
         if not 0.0 <= self.caption_keep_prob <= 1.0:
@@ -122,7 +121,7 @@ def training_loss(model, x0: np.ndarray, text_ids: np.ndarray, sched: NoiseSched
     t = rng.integers(0, sched.num_steps, size=batch)
     eps = rng.standard_normal(x0.shape)
     keep = rng.random(batch) < guidance.caption_keep_prob
-    ids = np.where(keep[:, None], text_ids, guidance.null_id)
+    ids = np.where(keep[:, None], text_ids, dataset.NULL_ID)
     x_t = forward_noise(x0, t, eps, sched)
     dtype = model.dtype if hasattr(model, "dtype") else np.float64
     pred = model.forward(Tensor(x_t.astype(dtype)), ids, t)
@@ -141,8 +140,7 @@ def score_from_eps(eps_hat: np.ndarray, t, sched: NoiseSchedule) -> np.ndarray:
     return factor * eps_hat
 
 
-def cfg_eps(model, x_t: Tensor, text_ids: np.ndarray, t, omega: float,
-            null_id: int = 0) -> Tensor:
+def cfg_eps(model, x_t: Tensor, text_ids: np.ndarray, t, omega: float) -> Tensor:
     """Guided prediction (1 + omega) * eps(cond) - omega * eps(uncond).
 
     Affine in omega; omega = 0 returns the conditional branch itself, without
@@ -151,7 +149,7 @@ def cfg_eps(model, x_t: Tensor, text_ids: np.ndarray, t, omega: float,
     cond = model.forward(x_t, text_ids, t)
     if omega == 0:
         return cond
-    uncond = model.forward(x_t, np.full_like(np.asarray(text_ids), null_id), t)
+    uncond = model.forward(x_t, np.full_like(np.asarray(text_ids), dataset.NULL_ID), t)
     return cond * (1.0 + omega) - uncond * omega
 
 
@@ -160,8 +158,7 @@ def cfg_eps(model, x_t: Tensor, text_ids: np.ndarray, t, omega: float,
 # ---------------------------------------------------------------------------
 
 def sample(model, text_ids: np.ndarray, sched: NoiseSchedule,
-           sampler: SamplerConfig, omega: float, rng_seed: int,
-           null_id: int = 0) -> Tensor:
+           sampler: SamplerConfig, omega: float, rng_seed: int) -> Tensor:
     """Deterministic first-order denoising from seeded Gaussian noise.
 
     Each update maps the state at evaluation time t to the next time t' via
@@ -181,7 +178,7 @@ def sample(model, text_ids: np.ndarray, sched: NoiseSchedule,
         for step, t in enumerate(times):
             try:
                 eps_hat = cfg_eps(model, state, text_ids,
-                                  np.full(batch, t, dtype=int), omega, null_id)
+                                  np.full(batch, t, dtype=int), omega)
                 if step + 1 < len(times):
                     t_next = int(times[step + 1])
                     root_next = float(np.sqrt(sched.alpha_bars[t_next]))

@@ -24,7 +24,7 @@ class TestExtraction:
     def test_left_map_is_raw_branch_weight(self):
         model = model_with()
         wmap = extract_first_stage(model, 1, "left")
-        assert np.array_equal(wmap.matrix, model.blocks[1].fnn_l.linear.weight.data)
+        assert np.array_equal(wmap.matrix, model.blocks[1].fnn_l.weight.data)
         assert wmap.matrix.shape == (7, 7)  # 4 image + 2 text + 1 time tokens
         assert wmap.side == "left" and wmap.layer_index == 1
 

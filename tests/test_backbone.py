@@ -90,8 +90,8 @@ class TestTokenAssembly:
     def test_null_ids_repeat_null_row(self):
         model = build_model(desk_config(), 2)
         emb = model.embed_text(np.zeros((1, 2), dtype=int))
-        assert np.array_equal(emb.data[0, 0], model.text_embed.data[0])
-        assert np.array_equal(emb.data[0, 1], model.text_embed.data[0])
+        assert np.array_equal(emb.data[0, 0], model.text_embed.table.data[0])
+        assert np.array_equal(emb.data[0, 1], model.text_embed.table.data[0])
 
     def test_unknown_id_rejected(self):
         model = build_model(desk_config(), 3)
@@ -296,13 +296,13 @@ class TestOutputHead:
         out = model._conv3x3(T.Tensor(img)).data
         padded = np.pad(img, ((0, 0), (0, 0), (1, 1), (1, 1)))
         # weight column (3 * di + dj) * C + c reads channel c at offset (di - 1, dj - 1)
-        w = model.head_conv_weight.data.reshape(2, 3, 3, 2)
+        w = model.head_conv.weight.data.reshape(2, 3, 3, 2)
         expect = np.zeros_like(img)
         for i in range(4):
             for j in range(4):
                 window = padded[:, :, i:i + 3, j:j + 3]
                 expect[:, :, i, j] = np.einsum("bcxy,oxyc->bo", window, w)
-        expect += model.head_conv_bias.data[None, :, None, None]
+        expect += model.head_conv.bias.data[None, :, None, None]
         assert np.allclose(out, expect, atol=1e-12)
 
     def test_conv_head_input_gradient(self):
@@ -311,7 +311,7 @@ class TestOutputHead:
         randomize(model, seed=33)
         img = T.Tensor(np.random.default_rng(34).standard_normal((1, 2, 4, 4)),
                        requires_grad=True)
-        params = [img, model.head_conv_weight, model.head_conv_bias]
+        params = [img, model.head_conv.weight, model.head_conv.bias]
         check_gradients(lambda: (model._conv3x3(img) * model._conv3x3(img)).sum(), params)
 
     def test_conv_head_gradients(self):
@@ -322,7 +322,7 @@ class TestOutputHead:
         x = T.Tensor(rng.standard_normal((1, 1, 4, 4)))
         ids = np.zeros((1, 2), dtype=int)
         t = np.array([3])
-        params = [model.head_conv_weight, model.head_conv_bias]
+        params = [model.head_conv.weight, model.head_conv.bias]
         check_gradients(lambda: (model(x, ids, t) * model(x, ids, t)).mean(), params)
 
 

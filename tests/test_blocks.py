@@ -50,6 +50,22 @@ class TestTruncNormal:
 
 
 class TestConstruction:
+    def test_parameters_are_named_by_attribute_path_in_assignment_order(self):
+        class Leaf(blocks.Module):
+            def __init__(self):
+                self.w = T.Tensor(np.ones(2), requires_grad=True)
+                self.const = T.Tensor(np.ones(2))
+                self.absent = None
+
+        class Root(blocks.Module):
+            def __init__(self):
+                self.z = Leaf()
+                self.items = [Leaf(), Leaf()]
+                self.a = T.Tensor(np.zeros(1), requires_grad=True)
+
+        names = [name for name, _ in Root().named_parameters("m.")]
+        assert names == ["m.z.w", "m.items.0.w", "m.items.1.w", "m.a"]
+
     def test_same_seed_bitwise_identical(self):
         a = small_block("D2", seed=7)
         b = small_block("D2", seed=7)
@@ -73,12 +89,12 @@ class TestConstruction:
         """Branch linears plus merge projection: 2*D^2 + L^2 weights (+ biases)."""
         seq, dim = 334, 512
         block = blocks.build_block("F2", 0, seq_len=seq, embed_dim=dim, mlp_scale=5.2)
-        weights = (block.fnn_r.linear.weight.size
-                   + block.fnn_l.linear.weight.size
+        weights = (block.fnn_r.weight.size
+                   + block.fnn_l.weight.size
                    + block.merge_proj.weight.size)
         assert weights == 2 * dim * dim + seq * seq
-        biases = (block.fnn_r.linear.bias.size
-                  + block.fnn_l.linear.bias.size
+        biases = (block.fnn_r.bias.size
+                  + block.fnn_l.bias.size
                   + block.merge_proj.bias.size)
         assert biases == 2 * dim + seq
 
@@ -141,10 +157,10 @@ class TestForwardSemantics:
         """fnn_l zero, fnn_r identity, projection identity: h = x + norm_r(x)."""
         block = small_block("D2", seed=14)
         dim = 8
-        block.fnn_l.linear.weight.data[...] = 0.0
-        block.fnn_l.linear.bias.data[...] = 0.0
-        block.fnn_r.linear.weight.data[...] = np.eye(dim)
-        block.fnn_r.linear.bias.data[...] = 0.0
+        block.fnn_l.weight.data[...] = 0.0
+        block.fnn_l.bias.data[...] = 0.0
+        block.fnn_r.weight.data[...] = np.eye(dim)
+        block.fnn_r.bias.data[...] = 0.0
         block.merge_proj.weight.data[...] = np.eye(dim)
         block.merge_proj.bias.data[...] = 0.0
         xt = tokens(seed=15)
@@ -232,7 +248,7 @@ def along_tokens(fn, x):
 
 def permute_lmlp(block, x):
     def branch(net, norm, x):
-        out = permute_linear(net.linear, permute_norm(norm, x))
+        out = permute_linear(net, permute_norm(norm, x))
         return T.gelu(out) if net.with_gelu else out
 
     r = branch(block.fnn_r, block.norm_r, x)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -192,7 +194,7 @@ class TestCheckpoint:
         path = tmp_path / "model.lmlp"
         save_checkpoint(path, config, model, step=1, optimizer=optimizer)
         before = path.read_bytes()
-        for p in model.parameters():
+        for _, p in model.named_parameters():
             p.data += 1.0
         written = []
         files_at_failure = []
@@ -239,6 +241,52 @@ class TestCheckpoint:
         (tmp_path / "cut.lmlp").write_bytes(path.read_bytes()[:100])
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "cut.lmlp")
+
+    def test_records_out_of_model_order_are_refused(self, tmp_path):
+        """Moments follow the stored records by position, so restoring a file
+        whose records are in another order would set every parameter by name
+        and put every moment on the wrong one."""
+        config = tiny_config()
+        model, _ = self.build(config)
+        named = list(model.named_parameters())[::-1]
+        optimizer = AdamW(named, lr=1e-3)
+        model.named_parameters = lambda: iter(named)
+        path = tmp_path / "reversed.lmlp"
+        save_checkpoint(path, config, model, 0, optimizer=optimizer)
+        snapshot = load_checkpoint(path)
+        assert list(snapshot.params) == [name for name, _ in named]
+        with pytest.raises(CheckpointError, match=r"order \(names on one side only: \[\]\)"):
+            restore_model(snapshot)
+
+    def test_records_of_another_model_are_refused(self, tmp_path):
+        config = tiny_config()
+        model, _ = self.build(config)
+        path = tmp_path / "m.lmlp"
+        save_checkpoint(path, config, model, 0)
+        snapshot = load_checkpoint(path)
+        snapshot.params = {name.replace("head.", "tail."): value
+                           for name, value in snapshot.params.items()}
+        with pytest.raises(CheckpointError, match=r"'head.bias', 'head.weight', 'tail.bias'"):
+            restore_model(snapshot)
+
+
+GOLDEN_DIR = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("tag", ["f2", "a3", "transformer", "b2_conv"])
+def test_golden_checkpoint_loads_restores_and_resaves_bitwise(tmp_path, tag):
+    """Checkpoints written by an earlier version (embed_dim 4, depth 2, 2
+    training steps; B2 with the conv head) still load and restore, and saving
+    the restored model with its loaded AdamW state gives the same bytes."""
+    path = GOLDEN_DIR / f"golden_{tag}.lmlp"
+    snapshot = load_checkpoint(path)
+    assert snapshot.step == 2 and snapshot.opt_step == 2
+    model = restore_model(snapshot)
+    optimizer = AdamW(list(model.named_parameters()))
+    optimizer.load_state(snapshot.opt_step, snapshot.opt_exp_avg, snapshot.opt_exp_avg_sq)
+    out = tmp_path / path.name
+    save_checkpoint(out, snapshot.config, model, snapshot.step, optimizer)
+    assert out.read_bytes() == path.read_bytes()
 
 
 def _bad_utf8_config(raw, name):

@@ -172,16 +172,19 @@ class TestTrainingLoss:
         return len(T._graph_nodes(loss))
 
     def test_desk_step_records_at_most_63_graph_nodes(self):
-        """F2 and TRANSFORMER at the desk defaults (depth 4, L=21, D=64): one
+        """Every block family at the desk defaults (depth 4, L=21, D=64): one
         node per dense layer, norm, activation, attention and residual add,
         and no permutes inside the blocks."""
-        for preset in ("F2", "TRANSFORMER"):
-            assert self.desk_step_nodes(preset=preset) <= 63, preset
+        expected = {"F2": 63, "TRANSFORMER": 63, "A3": 55, "A2": 55, "B2": 55}
+        for preset, count in expected.items():
+            assert self.desk_step_nodes(preset=preset) == count, preset
 
     def test_conv_head_adds_at_most_6_graph_nodes(self):
         """The 3x3 conv head gathers its nine windows with one row lookup."""
         plain = self.desk_step_nodes()
-        assert self.desk_step_nodes(head_kind="conv3x3_postprocess") <= plain + 6
+        conv = self.desk_step_nodes(head_kind="conv3x3_postprocess")
+        assert conv <= plain + 6
+        assert conv == 69
 
     def test_desk_step_graph_keeps_at_most_11_mb(self):
         """The loss of one F2 desk step (B=32, float32) keeps alive only what
