@@ -20,19 +20,28 @@ The engine refuses to propagate NaN/Inf: any operation whose result is
 non-finite raises ``NonFiniteError`` instead of returning garbage.
 
 Grad mode (``no_grad``) and MAC counters (``count_macs``) are per thread.
-A float32 dense layer of at least 2^25 MACs in one GEMM, a float32 GELU of
-at least 2^19 elements, or an attention of at least two heads and 2^25 MACs
-runs as two halves: one on the calling thread and one on a single worker
-thread, which only calls numpy. That happens only when the process may run
-on two CPUs and numpy's OpenBLAS runs on one thread
+Six kinds of op may run as two halves: one on the calling thread and one
+on a single worker thread, which only calls numpy. That happens only when
+the process may run on two CPUs and numpy's OpenBLAS runs on one thread
 (``OPENBLAS_NUM_THREADS=1``): an OpenBLAS with threads of its own already
-uses the second core, and splitting on top of it was slower. The halves are
-output-column blocks of the GEMM, element ranges of GELU and head ranges of
-attention, so the results are bitwise those of the serial op. Each half does
-its op's whole job on its part, bias add and finiteness check included.
-Desk-scale ops stay below every size, desk attention has one head, and the
-backward ops always run serially. Importing the module starts no thread;
-the worker starts with the first split op.
+uses the second core, and splitting on top of it was slower. The split ops
+and their halves, all float32:
+
+- ``matmul`` of at least 2^25 MACs in one GEMM: output-column blocks;
+- ``attention`` of at least two heads and 2^25 MACs: head ranges;
+- ``gelu`` of at least 2^19 elements: flat element ranges;
+- ``add``, ``sub`` and ``mul`` of at least 2^19 elements whose operands
+  both have the output's shape: flat element ranges;
+- ``layer_norm`` over the trailing axis of at least 2^19 elements: row
+  blocks, cut on a multiple of 16 rows;
+- ``narrow`` of at least 2^19 output elements: ranges of the extents
+  before the narrowed axis.
+
+The results are bitwise those of the serial op. Each half does its op's
+whole job on its part, bias add and finiteness check included. Desk-scale
+ops stay below every size, desk attention has one head, and the backward
+ops always run serially. Importing the module starts no thread; the worker
+starts with the first split op.
 """
 
 from __future__ import annotations
@@ -135,7 +144,13 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
 # One GEMM this large also keeps both halves far above OpenBLAS's
 # small-matrix path (about 10^6 MACs), whose results differ from the
 # blocked kernel's. Attention splits by heads from the same MAC count; the
-# reference point's 8-head attention is 114M MACs.
+# reference point's 8-head attention is 114M MACs. Every other split op
+# (GELU, add/sub/mul of one shape, a trailing-axis layer norm, narrow) splits
+# from 2^19 output elements: the largest desk-scale one has 344k (A3's
+# expansion), and A3's gate half at the reference point has 684k. A layer
+# norm cuts its rows on a multiple of 16: _weighted_sum's gemv sums rows in
+# groups of 4, and a 334x2048 norm cut at row 167 changed rows 164, 165 and
+# 333, while every cut on a multiple of 4 was bitwise the whole call.
 _SPLIT_MIN_MACS = 1 << 25
 _SPLIT_MIN_ELEMENTS = 1 << 19
 
@@ -197,14 +212,15 @@ def _split_worker():
         return _worker
 
 
-def _by_halves(fn, n: int, large: bool) -> None:
+def _by_halves(fn, n: int, large: bool, align: int = 1) -> None:
     """Run ``fn(0, n)``. A large op with a second core free runs
-    ``fn(n // 2, n)`` on the worker thread and ``fn(0, n // 2)`` here, and
+    ``fn(half, n)`` on the worker thread and ``fn(0, half)`` here, where
+    ``half`` is ``n // 2`` rounded down to a multiple of ``align``, and
     returns once both halves have finished."""
     if not (large and _second_core_free()):
         fn(0, n)
         return
-    half = n // 2
+    half = n // 2 // align * align
     future = _split_worker().submit(_under_errstate, np.geterr(), fn, half, n)
     try:
         fn(0, half)
@@ -378,11 +394,28 @@ def _elementwise_operands(a, b):
     return a, b
 
 
+def _elementwise(ufunc, a: Tensor, b: Tensor, op: str) -> Tensor:
+    """``ufunc(a, b)``, checked finite. Float32 operands that both have the
+    output's shape and at least 2^19 elements may run as two halves of their
+    flat elements; any other call, a broadcast one included, runs whole."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not (a.shape == b.shape and a.dtype == b.dtype == np.float32
+                and a.size >= _SPLIT_MIN_ELEMENTS):
+            return Tensor._make(ufunc(a.data, b.data), op)
+        out = np.empty_like(a.data)
+        flat_a, flat_b, flat_out = a.data.reshape(-1), b.data.reshape(-1), out.reshape(-1)
+
+        def elements(lo, hi):
+            ufunc(flat_a[lo:hi], flat_b[lo:hi], out=flat_out[lo:hi])
+            _check_finite(flat_out[lo:hi], op)
+
+        _by_halves(elements, out.size, True)
+    return Tensor._wrap(out)
+
+
 def add(a, b) -> Tensor:
     a, b = _elementwise_operands(a, b)
-    with np.errstate(over="ignore", invalid="ignore"):
-        raw = a.data + b.data
-    out = Tensor._make(raw, "add")
+    out = _elementwise(np.add, a, b, "add")
     a_shape, b_shape = a.shape, b.shape
 
     def vjp(g):
@@ -393,9 +426,7 @@ def add(a, b) -> Tensor:
 
 def sub(a, b) -> Tensor:
     a, b = _elementwise_operands(a, b)
-    with np.errstate(over="ignore", invalid="ignore"):
-        raw = a.data - b.data
-    out = Tensor._make(raw, "sub")
+    out = _elementwise(np.subtract, a, b, "sub")
     a_shape, b_shape = a.shape, b.shape
 
     def vjp(g):
@@ -406,9 +437,7 @@ def sub(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a, b = _elementwise_operands(a, b)
-    with np.errstate(over="ignore", invalid="ignore"):
-        raw = a.data * b.data
-    out = Tensor._make(raw, "mul")
+    out = _elementwise(np.multiply, a, b, "mul")
     # Each operand is read only for the other one's gradient.
     a_data = a.data if b.requires_grad else None
     b_data = b.data if a.requires_grad else None
@@ -584,15 +613,23 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
         raise ShapeError(
             f"narrow [{start}:{start + length}) out of bounds for extent {x.shape[axis]}"
         )
-    index = [slice(None)] * x.ndim
-    index[axis] = slice(start, start + length)
-    out = Tensor._make(x.data[tuple(index)], "narrow")
-    in_shape = x.shape
+    # (outer, extent, inner) around the narrowed axis; ranges of outer may split
+    outer, inner = math.prod(x.shape[:axis]), math.prod(x.shape[axis + 1:])
+    x_3d = x.data.reshape(outer, x.shape[axis], inner)
+    y = np.empty((outer, length, inner), x.dtype)
+
+    def slabs(lo, hi):
+        y[lo:hi] = x_3d[lo:hi, start:start + length]
+        _check_finite(y[lo:hi], "narrow")
+
+    _by_halves(slabs, outer, y.dtype == np.float32 and y.size >= _SPLIT_MIN_ELEMENTS)
+    out = Tensor._wrap(y.reshape(x.shape[:axis] + (length,) + x.shape[axis + 1:]))
+    in_shape, in_3d, out_3d = x.shape, x_3d.shape, y.shape
 
     def vjp(g):
-        full = np.zeros(in_shape, dtype=g.dtype)
-        full[tuple(index)] = g
-        return (full,)
+        full = np.zeros(in_3d, dtype=g.dtype)
+        full[:, start:start + length] = g.reshape(out_3d)
+        return (full.reshape(in_shape),)
 
     return _record(out, (x,), vjp)
 
@@ -651,10 +688,13 @@ def _gelu32(x: np.ndarray, with_factor: bool) -> tuple[np.ndarray, np.ndarray | 
     flat_factor = None if factor is None else factor.reshape(-1)
 
     def elements(lo, hi):
+        # A half of a split call hands the GIL to the other half at every
+        # ufunc call, so it walks twice the block and makes half the calls.
+        block = _GELU32_BLOCK if hi - lo == flat_x.size else 2 * _GELU32_BLOCK
         # scratch rows: t, and Phi when the factor is not kept
-        scratch = np.empty((2, min(hi - lo, _GELU32_BLOCK)), dtype=np.float32)
-        for start in range(lo, hi, _GELU32_BLOCK):
-            stop = min(start + _GELU32_BLOCK, hi)
+        scratch = np.empty((2, min(hi - lo, block)), dtype=np.float32)
+        for start in range(lo, hi, block):
+            stop = min(start + block, hi)
             size = stop - start
             cdf = flat_factor[start:stop] if with_factor else scratch[1, :size]
             _gelu32_block(flat_x[start:stop], flat_out[start:stop], cdf,
@@ -772,18 +812,39 @@ def layer_norm(x: Tensor, normalized_extent: int, gain: Tensor, bias: Tensor,
     average = np.full(n, 1.0 / n, dtype=x.dtype)
     affine_shape = (n,) if axis == -1 else (n, 1)
     gain_data = gain.data.reshape(affine_shape)
+    bias_data = bias.data.reshape(affine_shape)
+    # Row i holds the slices normalized together: (rows, n) with axis=-1,
+    # and (rows, n, C) with axis=-2.
+    folded = x.data.reshape((-1, n) if axis == -1 else (-1, n, x.shape[-1]))
+    x_hat = np.empty_like(folded)
+    inv = np.empty(folded.shape[:1] + (1,) + folded.shape[2:], x.dtype)
+    y = np.empty(folded.shape, np.result_type(x.data, gain.data, bias.data))
+    same_dtype = y.dtype == x.dtype
+
+    def rows(lo, hi):
+        part, x_hat_part, y_part = folded[lo:hi], x_hat[lo:hi], y[lo:hi]
+        np.subtract(part, _weighted_sum(part, average, axis), out=x_hat_part)
+        # the squares go into y's rows, written only after, when the dtypes agree
+        squares = np.multiply(x_hat_part, x_hat_part, out=y_part if same_dtype else None)
+        variance = _weighted_sum(squares, average, axis)
+        inv[lo:hi] = 1.0 / np.sqrt(variance + eps)
+        x_hat_part *= inv[lo:hi]
+        np.multiply(x_hat_part, gain_data, out=y_part)
+        y_part += bias_data
+        _check_finite(y_part, "layer_norm")
+
+    # a cut on a multiple of 16 rows keeps _weighted_sum's gemv bitwise
     with np.errstate(over="ignore", invalid="ignore"):
-        x_hat = x.data - _weighted_sum(x.data, average, axis)
-        inv = 1.0 / np.sqrt(_weighted_sum(x_hat * x_hat, average, axis) + eps)
-        x_hat *= inv
-        y = x_hat * gain_data
-        y += bias.data.reshape(affine_shape)
-    out = Tensor._make(y, "layer_norm")
+        _by_halves(rows, len(folded), axis == -1 and y.dtype == np.float32
+                   and y.size >= _SPLIT_MIN_ELEMENTS, align=16)
+    out = Tensor._wrap(y.reshape(x.shape))
+    x_shape = x.shape
     gain_average = gain.data / n
 
     def vjp(g):
         # dx = inv * (dx_hat - mean(dx_hat) - x_hat * mean(dx_hat * x_hat)),
         # with dx_hat = g * gain; both means are sums of g weighted by gain / n.
+        g = g.reshape(x_hat.shape)
         g_x_hat = g * x_hat
         d_gain = _sum_except(g_x_hat, axis)
         d_bias = _sum_except(g, axis)
@@ -791,7 +852,7 @@ def layer_norm(x: Tensor, normalized_extent: int, gain: Tensor, bias: Tensor,
         dx -= _weighted_sum(g, gain_average, axis)
         dx -= x_hat * _weighted_sum(g_x_hat, gain_average, axis)
         dx *= inv
-        return dx, d_gain, d_bias
+        return dx.reshape(x_shape), d_gain, d_bias
 
     return _record(out, (x, gain, bias), vjp)
 

@@ -64,16 +64,21 @@ def test_import_starts_no_thread():
     assert lines == ["1 False"]
 
 
-# The last field: whether an 8-head float32 attention at the reference point
-# (L=334, D=512) started the worker thread.
+# The last two fields: whether a float32 layer norm of A3's gate half at the
+# reference point (L=334, 2048 channels) started the worker thread, and
+# whether it runs after an 8-head attention at L=334, D=512.
 SPLIT_PROBE = """
 import os
 import numpy as np
 from lmlp import tensor as T
-q = T.Tensor(np.random.default_rng(0).standard_normal((1, 334, 512)).astype(np.float32))
+rng = np.random.default_rng(0)
+x = T.Tensor(rng.standard_normal((1, 334, 2048)).astype(np.float32))
+T.layer_norm(x, 2048, T.Tensor(np.ones(2048, np.float32)), T.Tensor(np.zeros(2048, np.float32)))
+norm_split = T._worker is not None
+q = T.Tensor(rng.standard_normal((1, 334, 512)).astype(np.float32))
 T.attention(q, q, q, 8)
 print(T._blas_thread_query() is not None, len(os.sched_getaffinity(0)) >= 2,
-      T._second_core_free(), T._worker is not None)
+      T._second_core_free(), norm_split, T._worker is not None)
 """
 
 
@@ -81,10 +86,11 @@ print(T._blas_thread_query() is not None, len(os.sched_getaffinity(0)) >= 2,
 @pytest.mark.parametrize("blas_threads, splits", [("1", "True"), ("2", "False")])
 def test_large_ops_split_only_with_single_threaded_blas(blas_threads, splits):
     [line] = run_python(SPLIT_PROBE, OPENBLAS_NUM_THREADS=blas_threads)
-    query_found, two_cpus, free, attention_split = line.split()
+    query_found, two_cpus, free, norm_split, attention_split = line.split()
     if query_found == "False":
         pytest.skip("numpy's OpenBLAS exports no thread-count query")
     if two_cpus == "False":
         pytest.skip("fewer than two CPUs")
     assert free == splits
+    assert norm_split == splits
     assert attention_split == splits

@@ -660,6 +660,28 @@ def force_split(monkeypatch, on):
     return asked
 
 
+@pytest.fixture
+def one_blas_thread():
+    """OpenBLAS on one thread for the test, the only setting in which ops
+    split outside tests: a threaded gemv sums a norm's rows in other groups,
+    so its whole-array result is not the one-thread serial one."""
+    import ctypes
+    from numpy._core import _multiarray_umath
+
+    blas_user = ctypes.CDLL(_multiarray_umath.__file__)
+    setter = next((getattr(blas_user, name) for name in (
+        "scipy_openblas_set_num_threads64_", "openblas_set_num_threads")
+        if hasattr(blas_user, name)), None)
+    query = T._blas_thread_query()
+    if setter is None or query is None:
+        pytest.skip("numpy's OpenBLAS exports no thread-count setter")
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    before = query()
+    setter(1)
+    yield
+    setter(before)
+
+
 class TestSplit:
     """Large ops split over two threads give the serial result bitwise."""
 
@@ -796,6 +818,123 @@ class TestSplit:
         serial, split, splits = self.both_ways(monkeypatch,
                                                lambda: T.attention(q, q, q, 1).data)
         assert splits == 0
+        assert np.array_equal(serial, split)
+
+    # (1, 333, 2048) and (3, 335, 1024) cut at row 160 and 496, not at half
+    @pytest.mark.parametrize("shape", [(1, 334, 2048), (1, 333, 2048), (3, 335, 1024)])
+    @pytest.mark.usefixtures("one_blas_thread")
+    def test_layer_norm_and_its_vjp_are_bitwise_the_serial_ones(self, monkeypatch, shape):
+        rng = np.random.default_rng(86)
+        n = shape[-1]
+        # rows of differing mean and scale
+        values = rng.standard_normal(shape) * rng.uniform(0.1, 10, shape[:-1] + (1,))
+        x = f32(values + rng.standard_normal(shape[:-1] + (1,)), requires_grad=True)
+        gain, bias = (f32(rng.standard_normal(n), requires_grad=True) for _ in range(2))
+        g = rng.standard_normal(shape).astype(np.float32)
+
+        def run():
+            out = T.layer_norm(x, n, gain, bias)
+            return (out.data, *out._node.vjp(g))
+
+        serial, split, splits = self.both_ways(monkeypatch, run)
+        assert splits == 1
+        for a, b in zip(serial, split):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("op", [T.add, T.sub, T.mul])
+    @pytest.mark.parametrize("shape", [(1, 334, 2048), (T._SPLIT_MIN_ELEMENTS + 3,)])
+    def test_elementwise_ops_of_one_shape_are_bitwise_the_serial_ones(self, monkeypatch,
+                                                                       op, shape):
+        rng = np.random.default_rng(87)
+        a, b = (f32(rng.standard_normal(shape)) for _ in range(2))
+        serial, split, splits = self.both_ways(monkeypatch, lambda: op(a, b).data)
+        assert splits == 1
+        assert np.array_equal(serial, split)
+
+    # (shape, axis, start, length): A3's gate half at the reference point,
+    # and the backbone's image tokens of a batch of four
+    @pytest.mark.parametrize("shape, axis, start, length", [
+        ((1, 334, 4096), -1, 2048, 2048),
+        ((4, 300, 1024), 1, 10, 280),
+    ])
+    def test_narrow_is_bitwise_the_slice(self, monkeypatch, shape, axis, start, length):
+        x = f32(np.random.default_rng(88).standard_normal(shape))
+        serial, split, splits = self.both_ways(
+            monkeypatch, lambda: T.narrow(x, axis, start, length).data)
+        assert splits == 1
+        index = [slice(None)] * len(shape)
+        index[axis] = slice(start, start + length)
+        assert split.flags.c_contiguous
+        assert np.array_equal(serial, x.data[tuple(index)])
+        assert np.array_equal(split, serial)
+
+    @pytest.mark.parametrize("run", [
+        lambda x: T.add(x, f32(np.ones(2048))),
+        lambda x: T.layer_norm(T.Tensor(x.data.astype(np.float64)), 2048,
+                               T.Tensor(np.ones(2048)), T.Tensor(np.zeros(2048))),
+        lambda x: T.layer_norm(T.reshape(x, (1, 2048, 334)), 2048, f32(np.ones(2048)),
+                               f32(np.zeros(2048)), axis=-2),
+    ], ids=["bias_add", "float64_norm", "token_axis_norm"])
+    def test_broadcast_float64_and_token_axis_ops_never_split(self, monkeypatch, run):
+        x = f32(np.random.default_rng(89).standard_normal((1, 334, 2048)))
+        serial, split, splits = self.both_ways(monkeypatch, lambda: run(x).data)
+        assert splits == 0
+        assert np.array_equal(serial, split)
+
+    @staticmethod
+    def _huge_last_row_norm():
+        # the last row's mean is near 3.3e38, so its one negative entry's
+        # deviation overflows; row 333 is in the worker's half
+        x = np.ones((1, 334, 2048), dtype=np.float32)
+        x[0, -1] = 3.3e38
+        x[0, -1, 0] = -3.3e38
+        T.layer_norm(f32(x), 2048, f32(np.ones(2048)), f32(np.zeros(2048)))
+
+    @staticmethod
+    def _huge_last_product():
+        a = np.ones((1, 334, 2048), dtype=np.float32)
+        a[0, -1, -1] = 3e38
+        T.mul(f32(a), f32(a))
+
+    @staticmethod
+    def _infinite_entry_in_narrowed_slab():
+        # an entry the constructor never saw, in row 333 of the slice
+        x = f32(np.ones((1, 334, 4096)))
+        x.data[0, -1, 3000] = np.inf
+        T.narrow(x, -1, 2048, 2048)
+
+    @pytest.mark.parametrize("message, run", [
+        ("layer_norm produced", _huge_last_row_norm),
+        ("mul produced", _huge_last_product),
+        ("narrow produced", _infinite_entry_in_narrowed_slab),
+    ], ids=["layer_norm", "mul", "narrow"])
+    def test_non_finite_value_in_the_workers_half_names_the_op(self, monkeypatch,
+                                                                message, run):
+        asked = force_split(monkeypatch, True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(T.NonFiniteError, match=message):
+                run()
+        assert len(asked) == 1
+
+    @pytest.mark.usefixtures("one_blas_thread")
+    def test_gmlp_reference_block_is_bitwise_the_serial_one(self, monkeypatch):
+        from lmlp import blocks
+
+        block = blocks.build_block("A3", 90, seq_len=334, embed_dim=512, mlp_scale=4.0,
+                                   dtype=np.float32)
+        x = f32(np.random.default_rng(90).standard_normal((1, 334, 512)))
+
+        def run():
+            with T.no_grad(), T.count_macs() as counter:
+                out = block.forward(x)
+            return out.data, counter.total
+
+        (serial, serial_macs), (split, split_macs), splits = self.both_ways(monkeypatch, run)
+        # proj_in, GELU, both narrows, norm_gate, spatial, the gate product
+        # and proj_out split; norm_in and the residual add have 171k elements
+        assert splits == 8
+        assert split_macs == serial_macs
         assert np.array_equal(serial, split)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
