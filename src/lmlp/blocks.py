@@ -84,16 +84,13 @@ class LinearLayer(Module):
 class LayerNorm(Module):
     """Normalizes the extent at ``axis`` (-1: trailing, -2: the one before it)."""
 
-    def __init__(self, extent: int, dtype=np.float64, eps: float = 1e-6, axis: int = -1):
-        self.extent = extent
-        self.eps = eps
+    def __init__(self, extent: int, dtype=np.float64, axis: int = -1):
         self.axis = axis
         self.gain = Tensor(np.ones(extent, dtype=dtype), requires_grad=True)
         self.bias = Tensor(np.zeros(extent, dtype=dtype), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.layer_norm(x, self.extent, self.gain, self.bias, eps=self.eps,
-                            axis=self.axis)
+        return T.layer_norm(x, self.gain, self.bias, self.axis)
 
 
 class MlpLayer(Module):

@@ -18,7 +18,7 @@ import numpy as np
 from . import analysis, pgm, tensor as T
 from .blocks import UnsupportedBlockError, build_block
 from .checkpoint import CheckpointError, load_checkpoint, restore_model
-from .complexity import analytic_cost, cost_table, measure, reference_rows
+from .complexity import ANALYTIC_KINDS, analytic_cost, cost_table, measure, reference_rows
 from .config import (
     ConfigError,
     RunConfig,
@@ -87,9 +87,9 @@ def cmd_sample(args) -> int:
         raise T.UsageError("captions file contains no captions")
     ids = np.stack([encode_caption(line.split(), config.text_tokens)
                     for line in captions])
+    images = draw_samples(model, ids, sched, sampler, omega, args.seed).data
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    images = draw_samples(model, ids, sched, sampler, omega, args.seed).data
     for index in range(len(captions)):
         plane = np.clip((images[index] + 1.0) / 2.0, 0.0, 1.0)
         stem = f"sample_{index:03d}_seed{args.seed}_w{omega:g}"
@@ -145,13 +145,16 @@ def cmd_bench(args) -> int:
                             mlp_scale=scale)
         measured = measure(block, seq, dim)
         kind = block.cfg.kind
-        analytic = analytic_cost(kind, seq, dim, scale)
-        exact = measured.macs_measured == int(analytic.macs)
-        print(f"measured {preset} at L={seq} D={dim} s={scale:g}: "
-              f"macs {measured.macs_measured} (analytic {analytic.macs:.0f}, "
-              f"exact={'yes' if exact else 'no'}), "
-              f"trainable scalars {measured.params_measured} "
-              f"(leading-term {analytic.params:.0f})")
+        macs = f"macs {measured.macs_measured}"
+        params = f"trainable scalars {measured.params_measured}"
+        if kind in ANALYTIC_KINDS:
+            analytic = analytic_cost(kind, seq, dim, scale)
+            exact = measured.macs_measured == int(analytic.macs)
+            macs += f" (analytic {analytic.macs:.0f}, exact={'yes' if exact else 'no'})"
+            params += f" (leading-term {analytic.params:.0f})"
+        else:
+            params += f" (no analytic formula for kind {kind!r})"
+        print(f"measured {preset} at L={seq} D={dim} s={scale:g}: {macs}, {params}")
     return 0
 
 
@@ -239,7 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--row", action="append", metavar="NAME:L:D:S:KIND",
                        help="extra analytic row (kind: transformer|lmlp)")
     bench.add_argument("--measure", metavar="PRESET:L:D:S",
-                       help="build a block and compare measured against analytic MACs")
+                       help="build a block and report its measured cost, and the "
+                            "analytic one where its kind has a formula")
     bench.add_argument("--csv", help="also write the CSV table to this path")
     bench.add_argument("--seed", type=int, default=0)
     bench.set_defaults(handler=cmd_bench)

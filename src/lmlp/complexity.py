@@ -76,6 +76,7 @@ def _check_args(seq_len: int, embed_dim: int, scale: float) -> None:
 
 
 _ANALYTIC = {"transformer": transformer_cost, "lmlp": lmlp_cost}
+ANALYTIC_KINDS = tuple(_ANALYTIC)   # block kinds with a cost formula
 
 
 def analytic_cost(kind: str, seq_len: int, embed_dim: int, scale: float) -> BlockCost:
@@ -138,6 +139,7 @@ def cost_table(rows: list[tuple[str, int, int, float, str]]) -> tuple[str, str]:
 
 
 __all__ = [
+    "ANALYTIC_KINDS",
     "BlockCost",
     "CSV_HEADER",
     "REFERENCE_EMBED",

@@ -167,6 +167,8 @@ def sample(model, text_ids: np.ndarray, sched: NoiseSchedule,
     (abar' = 1, sigma' = 0), so a one-step schedule collapses exactly to the
     predicted clean image (x - sigma * eps_hat) / sqrt(abar).
     """
+    if not np.isfinite(omega):
+        raise T.UsageError(f"guidance scale must be finite, got {omega!r}")
     cfg = model.config
     text_ids = np.asarray(text_ids)
     batch = text_ids.shape[0]

@@ -20,18 +20,16 @@ The engine refuses to propagate NaN/Inf: any operation whose result is
 non-finite raises ``NonFiniteError`` instead of returning garbage.
 
 Grad mode (``no_grad``) and MAC counters (``count_macs``) are per thread.
-Six kinds of op may run as two halves: one on the calling thread and one
+Five kinds of op may run as two halves: one on the calling thread and one
 on a single worker thread, which only calls numpy. That happens only when
 the process may run on two CPUs and numpy's OpenBLAS runs on one thread
 (``OPENBLAS_NUM_THREADS=1``): an OpenBLAS with threads of its own already
 uses the second core, and splitting on top of it was slower. The split ops
-and their halves, all float32:
+and their halves, float32 except attention, which splits in float64 too:
 
 - ``matmul`` of at least 2^25 MACs in one GEMM: output-column blocks;
 - ``attention`` of at least two heads and 2^25 MACs: head ranges;
 - ``gelu`` of at least 2^19 elements: flat element ranges;
-- ``add``, ``sub`` and ``mul`` of at least 2^19 elements whose operands
-  both have the output's shape: flat element ranges;
 - ``layer_norm`` over the trailing axis of at least 2^19 elements: row
   blocks, cut on a multiple of 16 rows;
 - ``narrow`` of at least 2^19 output elements: ranges of the extents
@@ -145,12 +143,15 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
 # small-matrix path (about 10^6 MACs), whose results differ from the
 # blocked kernel's. Attention splits by heads from the same MAC count; the
 # reference point's 8-head attention is 114M MACs. Every other split op
-# (GELU, add/sub/mul of one shape, a trailing-axis layer norm, narrow) splits
-# from 2^19 output elements: the largest desk-scale one has 344k (A3's
-# expansion), and A3's gate half at the reference point has 684k. A layer
-# norm cuts its rows on a multiple of 16: _weighted_sum's gemv sums rows in
-# groups of 4, and a 334x2048 norm cut at row 167 changed rows 164, 165 and
-# 333, while every cut on a multiple of 4 was bitwise the whole call.
+# (GELU, a trailing-axis layer norm, narrow) splits from 2^19 output
+# elements: the largest desk-scale one has 344k (A3's expansion), and A3's
+# gate half at the reference point has 684k. add, sub and mul run whole:
+# splitting A3's gate product, the one such op this large, saved 0.5-1.3%
+# of A3's reference forward over 300 in-process pairs, too little for a
+# benchmark run to resolve. A layer norm cuts its rows on a multiple of 16:
+# _weighted_sum's gemv sums rows in groups of 4, and a 334x2048 norm cut at
+# row 167 changed rows 164, 165 and 333, while every cut on a multiple of 4
+# was bitwise the whole call.
 _SPLIT_MIN_MACS = 1 << 25
 _SPLIT_MIN_ELEMENTS = 1 << 19
 
@@ -257,7 +258,9 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, dtype=None, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=dtype)
+        # a value that overflows the dtype casts to inf, which the check names
+        with np.errstate(over="ignore"):
+            arr = np.asarray(data, dtype=dtype)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(DEFAULT_DTYPE)
         arr = np.ascontiguousarray(arr)
@@ -345,7 +348,7 @@ class Tensor:
 def _as_tensor(value, dtype) -> Tensor:
     if isinstance(value, Tensor):
         return value
-    return Tensor(np.asarray(value, dtype=dtype))
+    return Tensor(value, dtype=dtype)
 
 
 def _recording(operands: tuple[Tensor, ...]) -> bool:
@@ -394,28 +397,11 @@ def _elementwise_operands(a, b):
     return a, b
 
 
-def _elementwise(ufunc, a: Tensor, b: Tensor, op: str) -> Tensor:
-    """``ufunc(a, b)``, checked finite. Float32 operands that both have the
-    output's shape and at least 2^19 elements may run as two halves of their
-    flat elements; any other call, a broadcast one included, runs whole."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not (a.shape == b.shape and a.dtype == b.dtype == np.float32
-                and a.size >= _SPLIT_MIN_ELEMENTS):
-            return Tensor._make(ufunc(a.data, b.data), op)
-        out = np.empty_like(a.data)
-        flat_a, flat_b, flat_out = a.data.reshape(-1), b.data.reshape(-1), out.reshape(-1)
-
-        def elements(lo, hi):
-            ufunc(flat_a[lo:hi], flat_b[lo:hi], out=flat_out[lo:hi])
-            _check_finite(flat_out[lo:hi], op)
-
-        _by_halves(elements, out.size, True)
-    return Tensor._wrap(out)
-
-
 def add(a, b) -> Tensor:
     a, b = _elementwise_operands(a, b)
-    out = _elementwise(np.add, a, b, "add")
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = a.data + b.data
+    out = Tensor._make(raw, "add")
     a_shape, b_shape = a.shape, b.shape
 
     def vjp(g):
@@ -426,7 +412,9 @@ def add(a, b) -> Tensor:
 
 def sub(a, b) -> Tensor:
     a, b = _elementwise_operands(a, b)
-    out = _elementwise(np.subtract, a, b, "sub")
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = a.data - b.data
+    out = Tensor._make(raw, "sub")
     a_shape, b_shape = a.shape, b.shape
 
     def vjp(g):
@@ -437,7 +425,9 @@ def sub(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a, b = _elementwise_operands(a, b)
-    out = _elementwise(np.multiply, a, b, "mul")
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = a.data * b.data
+    out = Tensor._make(raw, "mul")
     # Each operand is read only for the other one's gradient.
     a_data = a.data if b.requires_grad else None
     b_data = b.data if a.requires_grad else None
@@ -791,24 +781,26 @@ def sigmoid(x: Tensor) -> Tensor:
     return _record(out, (x,), vjp)
 
 
-def layer_norm(x: Tensor, normalized_extent: int, gain: Tensor, bias: Tensor,
-               eps: float = 1e-6, axis: int = -1) -> Tensor:
+_NORM_EPS = 1e-6  # added to the variance before its square root
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, axis: int = -1) -> Tensor:
     """Normalize one extent (the trailing one, or with ``axis=-2`` the one
     before it) to zero mean / unit (population) variance, then apply the
-    learned affine map."""
+    learned affine map. The extent is ``gain``'s length, and ``x``, ``gain``
+    and ``bias`` share one dtype."""
     if axis not in (-1, -2):
         raise ShapeError(f"layer_norm axis must be -1 or -2, got {axis}")
-    if normalized_extent == 0:
+    if gain.ndim != 1 or bias.shape != gain.shape:
+        raise ShapeError(f"gain {gain.shape} and bias {bias.shape} must be one vector shape")
+    n = gain.shape[0]
+    if n == 0:
         raise ShapeError("cannot normalize an empty extent")
-    if x.ndim < -axis or x.shape[axis] != normalized_extent:
-        raise ShapeError(
-            f"layer_norm expected extent {normalized_extent} on axis {axis}, got {x.shape}"
-        )
-    if gain.shape != (normalized_extent,) or bias.shape != (normalized_extent,):
-        raise ShapeError("gain/bias must match the normalized extent")
-    if eps <= 0:
-        raise UsageError("eps must be positive")
-    n = normalized_extent
+    if x.ndim < -axis or x.shape[axis] != n:
+        raise ShapeError(f"layer_norm expected extent {n} on axis {axis}, got {x.shape}")
+    if not x.dtype == gain.dtype == bias.dtype:
+        raise UsageError(f"layer_norm needs one dtype, got x {x.dtype}, gain "
+                         f"{gain.dtype} and bias {bias.dtype}")
     average = np.full(n, 1.0 / n, dtype=x.dtype)
     affine_shape = (n,) if axis == -1 else (n, 1)
     gain_data = gain.data.reshape(affine_shape)
@@ -818,16 +810,15 @@ def layer_norm(x: Tensor, normalized_extent: int, gain: Tensor, bias: Tensor,
     folded = x.data.reshape((-1, n) if axis == -1 else (-1, n, x.shape[-1]))
     x_hat = np.empty_like(folded)
     inv = np.empty(folded.shape[:1] + (1,) + folded.shape[2:], x.dtype)
-    y = np.empty(folded.shape, np.result_type(x.data, gain.data, bias.data))
-    same_dtype = y.dtype == x.dtype
+    y = np.empty_like(folded)
 
     def rows(lo, hi):
         part, x_hat_part, y_part = folded[lo:hi], x_hat[lo:hi], y[lo:hi]
         np.subtract(part, _weighted_sum(part, average, axis), out=x_hat_part)
-        # the squares go into y's rows, written only after, when the dtypes agree
-        squares = np.multiply(x_hat_part, x_hat_part, out=y_part if same_dtype else None)
-        variance = _weighted_sum(squares, average, axis)
-        inv[lo:hi] = 1.0 / np.sqrt(variance + eps)
+        # the squares go into y's rows, which are written only after
+        np.multiply(x_hat_part, x_hat_part, out=y_part)
+        variance = _weighted_sum(y_part, average, axis)
+        inv[lo:hi] = 1.0 / np.sqrt(variance + _NORM_EPS)
         x_hat_part *= inv[lo:hi]
         np.multiply(x_hat_part, gain_data, out=y_part)
         y_part += bias_data

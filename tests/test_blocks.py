@@ -165,7 +165,7 @@ class TestForwardSemantics:
         block.merge_proj.bias.data[...] = 0.0
         xt = tokens(seed=15)
         out = block(xt)
-        normed = T.layer_norm(xt, dim, block.norm_r.gain, block.norm_r.bias)
+        normed = T.layer_norm(xt, block.norm_r.gain, block.norm_r.bias)
         assert np.allclose(out.data, (xt + normed).data, atol=1e-12)
 
     def test_token_mixing_reaches_other_positions(self):
@@ -235,7 +235,7 @@ def permute_linear(layer, x):
 
 
 def permute_norm(norm, x):
-    return T.layer_norm(x, norm.extent, norm.gain, norm.bias, eps=norm.eps)
+    return T.layer_norm(x, norm.gain, norm.bias)
 
 
 def permute_mlp(mlp, x):

@@ -39,6 +39,17 @@ class TestBench:
             assert main(["bench", "--measure", spec]) == 0
             assert "exact=yes" in capsys.readouterr().out, spec
 
+    @pytest.mark.parametrize("spec, kind", [("A2:16:8:4", "mixer"), ("A3:16:8:4", "gmlp")])
+    def test_measure_baseline_preset_without_a_formula(self, capsys, spec, kind):
+        """A block kind without an analytic formula still reports what was measured."""
+        assert main(["bench", "--measure", spec]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        [line] = captured.out.splitlines()
+        assert line.startswith(f"measured {spec.split(':')[0]} at L=16 D=8 s=4: macs ")
+        assert "trainable scalars" in line
+        assert f"no analytic formula for kind {kind!r}" in line
+
     def test_no_arguments_is_usage_error(self, capsys):
         assert main(["bench"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -202,6 +213,18 @@ class TestSampleCommand:
                          "--steps", "4", "--seed", "2", "--out-dir", str(out)]) == 0
             outputs[omega] = next(out.glob("*.csv")).read_bytes()
         assert outputs["0"] == outputs["-1"]
+
+    @pytest.mark.parametrize("omega", ["nan", "inf"])
+    def test_non_finite_cfg_scale_exits_2(self, trained_checkpoint, tmp_path, capsys, omega):
+        captions = tmp_path / "c.txt"
+        captions.write_text("square center bright\n")
+        code = main(["sample", "--checkpoint", str(trained_checkpoint),
+                     "--captions", str(captions), "--cfg-scale", omega, "--steps", "2",
+                     "--out-dir", str(tmp_path / "s")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "guidance scale must be finite" in err and err.count("\n") == 1
+        assert not (tmp_path / "s").exists()
 
     def test_checkpoint_with_bad_config_exits_1(self, trained_checkpoint, tmp_path, capsys):
         raw = trained_checkpoint.read_bytes()

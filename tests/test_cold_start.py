@@ -73,7 +73,7 @@ import numpy as np
 from lmlp import tensor as T
 rng = np.random.default_rng(0)
 x = T.Tensor(rng.standard_normal((1, 334, 2048)).astype(np.float32))
-T.layer_norm(x, 2048, T.Tensor(np.ones(2048, np.float32)), T.Tensor(np.zeros(2048, np.float32)))
+T.layer_norm(x, T.Tensor(np.ones(2048, np.float32)), T.Tensor(np.zeros(2048, np.float32)))
 norm_split = T._worker is not None
 q = T.Tensor(rng.standard_normal((1, 334, 512)).astype(np.float32))
 T.attention(q, q, q, 8)

@@ -335,6 +335,12 @@ class TestSampler:
         out = sample(model, np.array([[1, 2]]), sched, SamplerConfig(50), 1.0, 10)
         assert np.isfinite(out.data).all()
 
+    @pytest.mark.parametrize("omega", [np.nan, np.inf, -np.inf])
+    def test_non_finite_guidance_scale_refused(self, sched, omega):
+        model = StubModel(lambda x_t, i, t: Tensor(np.zeros(x_t.shape)))
+        with pytest.raises(T.UsageError, match="guidance scale must be finite"):
+            sample(model, np.zeros((1, 2), dtype=int), sched, SamplerConfig(2), omega, 0)
+
     def test_divergence_reports_step(self, sched):
         model = StubModel(lambda x_t, i, t: x_t * 1e30)
         with pytest.raises(SamplingDiverged) as info:
