@@ -8,7 +8,7 @@ import os
 from .backbone import BackboneConfig, UlMlpModel, build_model
 from .blocks import BlockConfig, build_block, preset_config
 from .config import RunConfig
-from .diffusion import GuidanceConfig, NoiseSchedule, SamplerConfig
+from .diffusion import NoiseSchedule, SamplerConfig
 from .tensor import Tensor, no_grad
 
 
@@ -38,7 +38,6 @@ _hold_freed_heap()
 __all__ = [
     "BackboneConfig",
     "BlockConfig",
-    "GuidanceConfig",
     "NoiseSchedule",
     "RunConfig",
     "SamplerConfig",

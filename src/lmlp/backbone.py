@@ -82,6 +82,7 @@ def sinusoidal_encoding(t: np.ndarray, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BackboneConfig:
+    """Backbone geometry, block preset and wiring; refuses bad values when built."""
     image_side: int = 8
     in_channels: int = 1
     patch: int = 2
@@ -109,7 +110,7 @@ class BackboneConfig:
     def seq_len(self) -> int:
         return self.token_boundaries[1] + self.image_tokens
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.patch < 1 or self.image_side % self.patch:
             raise ConfigError(f"image_side {self.image_side} not divisible by patch {self.patch}")
         if self.embed_dim < 2 or self.embed_dim % 2:
@@ -127,7 +128,7 @@ class BackboneConfig:
         if self.num_timesteps < 1:
             raise ConfigError("num_timesteps must be positive")
         try:
-            preset_config(self.preset, self.seq_len, self.embed_dim, self.mlp_scale).validate()
+            preset_config(self.preset, self.seq_len, self.embed_dim, self.mlp_scale)
         except UnsupportedBlockError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -150,7 +151,6 @@ class UlMlpModel(Module):
     """Token backbone with floor(depth/2) encoder/decoder skip pairs."""
 
     def __init__(self, config: BackboneConfig, rng: np.random.Generator, dtype=np.float64):
-        config.validate()
         self.config = config
         self.dtype = dtype
         patch_in = config.patch * config.patch * config.in_channels

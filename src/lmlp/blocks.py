@@ -129,12 +129,14 @@ class BranchNet(LinearLayer):
 # ---------------------------------------------------------------------------
 
 KINDS = ("lmlp", "transformer", "mixer", "gmlp")
-FIRST_STAGES = ("linear", "one_layer_mlp")
-MERGE_OPS = ("sum", "product", "glu")
+LMLP_AXIS_VALUES = {"first_stage": ("linear", "one_layer_mlp"),
+                    "left_activation": ("none", "gelu"), "merge_op": ("sum", "product", "glu"),
+                    "merge_projection": ("linear", "none"), "second_stage": ("none", "mlp")}
 
 
 @dataclass(frozen=True)
 class BlockConfig:
+    """Topology and sizes of one block; refuses unsupported values when built."""
     seq_len: int
     embed_dim: int
     kind: str = "lmlp"
@@ -145,26 +147,32 @@ class BlockConfig:
     second_stage: str = "mlp"
     mlp_scale: float = 4.0
 
-    def validate(self) -> None:
+    @property
+    def heads(self) -> int:  # of a transformer block: one per 64 channels
+        return max(1, self.embed_dim // 64)
+
+    def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise UnsupportedBlockError(f"unknown block kind {self.kind!r}")
         if self.seq_len < 1 or self.embed_dim < 1:
             raise T.ShapeError("seq_len and embed_dim must be positive")
         if self.kind == "lmlp":
-            if self.first_stage not in FIRST_STAGES:
-                raise UnsupportedBlockError(f"unknown first stage {self.first_stage!r}")
-            if self.merge_op not in MERGE_OPS:
-                raise UnsupportedBlockError(f"unknown merge op {self.merge_op!r}")
+            for axis, allowed in LMLP_AXIS_VALUES.items():
+                if getattr(self, axis) not in allowed:
+                    raise UnsupportedBlockError(f"unknown {axis.replace('_', ' ')} "
+                                                f"{getattr(self, axis)!r}")
             if self.merge_op == "glu" and self.merge_projection == "none":
                 raise UnsupportedBlockError("glu merge requires the merge projection")
-            if self.merge_projection not in ("linear", "none"):
-                raise UnsupportedBlockError(f"unknown merge projection {self.merge_projection!r}")
-            if self.second_stage not in ("none", "mlp"):
-                raise UnsupportedBlockError(f"unknown second stage {self.second_stage!r}")
-            if self.left_activation not in ("none", "gelu"):
-                raise UnsupportedBlockError(f"unknown left activation {self.left_activation!r}")
         if not 0 < self.mlp_scale < np.inf:
             raise UnsupportedBlockError("mlp_scale must be a positive finite number")
+        try:
+            mlp_hidden(self.embed_dim, self.mlp_scale)
+        except OverflowError:
+            raise UnsupportedBlockError(f"mlp_scale {self.mlp_scale!r} gives no finite "
+                                        f"hidden width at embed_dim {self.embed_dim}") from None
+        if self.kind == "transformer" and self.embed_dim % self.heads:
+            raise UnsupportedBlockError(f"embed_dim {self.embed_dim} not divisible into "
+                                        f"{self.heads} heads")
 
 
 _LMLP_AXES = {
@@ -220,7 +228,6 @@ class LmlpBlock(Module):
     channel MLP."""
 
     def __init__(self, cfg: BlockConfig, rng: np.random.Generator, dtype=np.float64):
-        cfg.validate()
         seq, dim = cfg.seq_len, cfg.embed_dim
         gelu_everywhere = cfg.first_stage == "one_layer_mlp"
         self.cfg = cfg
@@ -267,12 +274,9 @@ class TransformerBlock(Module):
     """Pre-norm multi-head self-attention plus pre-norm MLP, standard residuals."""
 
     def __init__(self, cfg: BlockConfig, rng: np.random.Generator, dtype=np.float64):
-        cfg.validate()
         dim = cfg.embed_dim
         self.cfg = cfg
-        self.heads = max(1, dim // 64)
-        if dim % self.heads:
-            raise UnsupportedBlockError(f"embed_dim {dim} not divisible into {self.heads} heads")
+        self.heads = cfg.heads
         self.norm_1 = LayerNorm(dim, dtype)
         self.w_q = LinearLayer(dim, dim, rng, dtype)
         self.w_k = LinearLayer(dim, dim, rng, dtype)
@@ -296,7 +300,6 @@ class MixerBlock(Module):
     """Pre-norm token-mixing MLP over L, then pre-norm channel-mixing MLP over D."""
 
     def __init__(self, cfg: BlockConfig, rng: np.random.Generator, dtype=np.float64):
-        cfg.validate()
         seq, dim = cfg.seq_len, cfg.embed_dim
         self.cfg = cfg
         self.norm_1 = LayerNorm(dim, dtype)
@@ -322,7 +325,6 @@ class GmlpBlock(Module):
     """
 
     def __init__(self, cfg: BlockConfig, rng: np.random.Generator, dtype=np.float64):
-        cfg.validate()
         seq, dim = cfg.seq_len, cfg.embed_dim
         hidden = mlp_hidden(dim, cfg.mlp_scale)
         self.cfg = cfg
@@ -357,7 +359,6 @@ _BLOCK_CLASSES = {
 
 
 def make_block(cfg: BlockConfig, rng: np.random.Generator, dtype=np.float64) -> Block:
-    cfg.validate()
     return _BLOCK_CLASSES[cfg.kind](cfg, rng, dtype)
 
 

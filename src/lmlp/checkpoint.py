@@ -138,7 +138,6 @@ def load_checkpoint(path) -> Checkpoint:
     config_len = reader.unpack("<I")
     try:
         config = parse_config(reader.text(config_len, "embedded config"))
-        config.validate()
     except (ConfigError, UsageError) as exc:
         raise CheckpointError(f"{path}: bad embedded config: {exc}") from exc
     step = reader.unpack("<Q")

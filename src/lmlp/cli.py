@@ -19,13 +19,7 @@ from . import analysis, pgm, tensor as T
 from .blocks import UnsupportedBlockError, build_block
 from .checkpoint import CheckpointError, load_checkpoint, restore_model
 from .complexity import ANALYTIC_KINDS, analytic_cost, cost_table, measure, reference_rows
-from .config import (
-    ConfigError,
-    RunConfig,
-    apply_overrides,
-    parse_config_file,
-    serialize_config,
-)
+from .config import ConfigError, RunConfig, apply_overrides, parse_config, serialize_config
 from .dataset import ToyDatasetConfig, encode_caption, write_dataset
 from .diffusion import SamplerConfig, SamplingDiverged, sample as draw_samples
 from .train import run_training
@@ -48,7 +42,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _collect_config(args) -> RunConfig:
-    config = parse_config_file(args.config) if args.config else RunConfig()
+    config = parse_config(Path(args.config).read_text()) if args.config else RunConfig()
     overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)
                  if getattr(args, f.name, None) is not None}
     return apply_overrides(config, overrides)
@@ -63,9 +57,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_show_config(args) -> int:
-    config = _collect_config(args)
-    config.validate()
-    print(serialize_config(config), end="")
+    print(serialize_config(_collect_config(args)), end="")
     return 0
 
 
@@ -198,7 +190,6 @@ def cmd_inspect(args) -> int:
 def cmd_gen_data(args) -> int:
     config = ToyDatasetConfig(side=args.side, channels=args.channels,
                               text_tokens=args.text_tokens, seed=args.seed)
-    config.validate()
     if args.count < 0:
         raise T.UsageError("count must be non-negative")
     write_dataset(config, args.count, args.out_dir)
@@ -210,8 +201,15 @@ def cmd_gen_data(args) -> int:
 # wiring
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage mistake as a ``UsageError``, so it prints one line."""
+
+    def error(self, message: str):
+        raise T.UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="lmlp", description=__doc__)
+    parser = _Parser(prog="lmlp", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
 
     train = commands.add_parser("train", help="train a model per a run config")
@@ -270,13 +268,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
+    except SystemExit:  # --help; a usage mistake raises UsageError instead
+        return 0
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,11 +10,14 @@ from dataclasses import dataclass, fields
 
 from . import dataset
 from .backbone import BackboneConfig, ConfigError
-from .diffusion import GuidanceConfig, NoiseSchedule, SamplerConfig
+from .diffusion import NoiseSchedule, SamplerConfig, check_beta_range
+from .optim import check_betas
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
+    """Every key of a run; refuses a bad value when built, naming its key, by
+    its own rules and those of the backbone, data and sampler configs."""
     # run
     seed: int = 0
     train_steps: int = 2000
@@ -51,20 +54,22 @@ class RunConfig:
     data_seed: int = 0
     num_samples: int = 2048
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for key in _FLOAT_KEYS:
             if not math.isfinite(getattr(self, key)):
                 raise ConfigError(f"{key} must be finite, got {getattr(self, key)!r}")
-        positive = ("train_steps", "batch_size", "warmup_steps", "checkpoint_every",
-                    "grad_accumulation", "num_samples", "train_timesteps", "sample_steps")
-        for key in positive:
-            if getattr(self, key) < (0 if key in ("train_steps", "warmup_steps") else 1):
-                raise ConfigError(f"{key} must be positive")
+        for key, low in _INT_MINIMUMS.items():
+            if getattr(self, key) < low:
+                raise ConfigError(f"{key} must be at least {low}, got {getattr(self, key)}")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
-        self.backbone_config().validate()
-        self.guidance_config().validate()
-        self.dataset_config().validate()
+        if not 0.0 <= self.caption_keep_prob <= 1.0:
+            raise ConfigError("caption_keep_prob must lie in [0, 1]")
+        check_betas(self.beta1, self.beta2)
+        check_beta_range(self.beta_start, self.beta_end)
+        self.backbone_config()
+        self.dataset_config()
+        self.sampler_config()
 
     # -- derived component configs -------------------------------------------
     def backbone_config(self) -> BackboneConfig:
@@ -78,9 +83,6 @@ class RunConfig:
 
     def noise_schedule(self) -> NoiseSchedule:
         return NoiseSchedule(self.train_timesteps, self.beta_start, self.beta_end)
-
-    def guidance_config(self) -> GuidanceConfig:
-        return GuidanceConfig(caption_keep_prob=self.caption_keep_prob)
 
     def sampler_config(self) -> SamplerConfig:
         return SamplerConfig(num_steps=self.sample_steps)
@@ -102,6 +104,9 @@ SECTIONS: dict[str, tuple[str, ...]] = {
     "data": ("data_seed", "num_samples"),
 }
 
+_INT_MINIMUMS = {"seed": 0, "data_seed": 0, "train_steps": 0, "warmup_steps": 0,
+                 **dict.fromkeys(("batch_size", "grad_accumulation", "checkpoint_every",
+                                  "num_samples", "train_timesteps", "sample_steps"), 1)}
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 _FLOAT_KEYS = tuple(key for key, kind in _FIELD_TYPES.items() if kind == "float")
 _KEY_SECTION = {key: section for section, keys in SECTIONS.items() for key in keys}
@@ -147,11 +152,6 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(**values)
 
 
-def parse_config_file(path) -> RunConfig:
-    with open(path) as fh:
-        return parse_config(fh.read())
-
-
 def serialize_config(config: RunConfig) -> str:
     lines = []
     for section, keys in SECTIONS.items():
@@ -180,6 +180,5 @@ __all__ = [
     "SECTIONS",
     "apply_overrides",
     "parse_config",
-    "parse_config_file",
     "serialize_config",
 ]

@@ -55,12 +55,13 @@ def decode_caption(ids) -> list[str]:
 
 @dataclass(frozen=True)
 class ToyDatasetConfig:
+    """Toy image size, channels, caption slots and seed; refuses bad values when built."""
     side: int = 8
     channels: int = 1
     text_tokens: int = 4
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.side not in (8, 16):
             raise UsageError(f"toy images come in sides 8 or 16, not image_side {self.side}")
         if not 1 <= self.channels <= 3:
@@ -68,6 +69,8 @@ class ToyDatasetConfig:
         if self.text_tokens < 3:
             raise UsageError(f"toy captions have 3 words, too many for "
                              f"text_tokens {self.text_tokens}")
+        if self.seed < 0:
+            raise UsageError(f"toy data seed must be non-negative, got {self.seed}")
 
 
 def _stencil(shape: str, size: int) -> np.ndarray:
@@ -89,7 +92,6 @@ def _stencil(shape: str, size: int) -> np.ndarray:
 
 def sample(config: ToyDatasetConfig, index: int) -> tuple[np.ndarray, np.ndarray]:
     """Image (C, side, side) in [0, 1] and caption ids of length text_tokens."""
-    config.validate()
     rng = np.random.default_rng((config.seed, index))
     shape = SHAPES[rng.integers(len(SHAPES))]
     position = POSITIONS[rng.integers(len(POSITIONS))]

@@ -25,6 +25,13 @@ class SamplingDiverged(ArithmeticError):
         self.timestep = timestep
 
 
+def check_beta_range(beta_start: float, beta_end: float) -> None:
+    """The linear schedule's rule: 0 < beta_start <= beta_end < 1."""
+    if not (0.0 < beta_start <= beta_end < 1.0):
+        raise T.UsageError(f"betas must satisfy 0 < beta_start <= beta_end < 1, got "
+                           f"beta_start {beta_start!r} and beta_end {beta_end!r}")
+
+
 class NoiseSchedule:
     """Linear beta schedule with cumulative signal/noise coefficients.
 
@@ -36,8 +43,7 @@ class NoiseSchedule:
                  beta_end: float = 2e-2):
         if num_steps < 1:
             raise T.UsageError("schedule needs at least one step")
-        if not (0.0 < beta_start <= beta_end < 1.0):
-            raise T.UsageError("betas must satisfy 0 < beta_start <= beta_end < 1")
+        check_beta_range(beta_start, beta_end)
         self.num_steps = num_steps
         self.betas = np.linspace(beta_start, beta_end, num_steps)
         self.alphas = 1.0 - self.betas
@@ -56,25 +62,16 @@ def check_timesteps(t, num_steps: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class GuidanceConfig:
-    """Training-side guidance: captions are kept with ``caption_keep_prob``
-    and otherwise replaced by the null caption ``dataset.NULL_ID``."""
-
-    caption_keep_prob: float = 0.9
-
-    def validate(self) -> None:
-        if not 0.0 <= self.caption_keep_prob <= 1.0:
-            raise T.UsageError("caption_keep_prob must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
 class SamplerConfig:
+    """Number of denoising steps; refuses fewer than one when built."""
     num_steps: int = 50
+
+    def __post_init__(self) -> None:
+        if self.num_steps < 1:
+            raise T.UsageError("sampler needs at least one step")
 
     def timesteps(self, train_steps: int) -> np.ndarray:
         """Strictly decreasing evaluation times from T-1 down to 0, uniform stride."""
-        if self.num_steps < 1:
-            raise T.UsageError("sampler needs at least one step")
         knots = np.round(np.linspace(train_steps - 1, 0, self.num_steps)).astype(int)
         return np.unique(knots)[::-1]
 
@@ -106,8 +103,9 @@ def forward_noise(x0: np.ndarray, t, eps: np.ndarray, sched: NoiseSchedule) -> n
 
 
 def training_loss(model, x0: np.ndarray, text_ids: np.ndarray, sched: NoiseSchedule,
-                  guidance: GuidanceConfig, rng: np.random.Generator) -> Tensor:
-    """Mean squared error between injected and predicted noise.
+                  caption_keep_prob: float, rng: np.random.Generator) -> Tensor:
+    """Mean squared error between injected and predicted noise; each caption is
+    kept with ``caption_keep_prob``, otherwise replaced by ``dataset.NULL_ID``.
 
     Draw order from ``rng`` (fixed, so runs are reproducible per seed and a
     test oracle can replay it): per-example timesteps, then the noise field,
@@ -116,11 +114,10 @@ def training_loss(model, x0: np.ndarray, text_ids: np.ndarray, sched: NoiseSched
     x0 = np.asarray(x0)
     if x0.ndim != 4 or x0.shape[0] == 0:
         raise T.UsageError("x0 must be a non-empty (B, C, H, W) batch")
-    guidance.validate()
     batch = x0.shape[0]
     t = rng.integers(0, sched.num_steps, size=batch)
     eps = rng.standard_normal(x0.shape)
-    keep = rng.random(batch) < guidance.caption_keep_prob
+    keep = rng.random(batch) < caption_keep_prob
     ids = np.where(keep[:, None], text_ids, dataset.NULL_ID)
     x_t = forward_noise(x0, t, eps, sched)
     dtype = model.dtype if hasattr(model, "dtype") else np.float64
@@ -169,6 +166,8 @@ def sample(model, text_ids: np.ndarray, sched: NoiseSchedule,
     """
     if not np.isfinite(omega):
         raise T.UsageError(f"guidance scale must be finite, got {omega!r}")
+    if rng_seed < 0:
+        raise T.UsageError(f"sampling seed rng_seed must be non-negative, got {rng_seed}")
     cfg = model.config
     text_ids = np.asarray(text_ids)
     batch = text_ids.shape[0]
@@ -197,11 +196,11 @@ def sample(model, text_ids: np.ndarray, sched: NoiseSchedule,
 
 
 __all__ = [
-    "GuidanceConfig",
     "NoiseSchedule",
     "SamplerConfig",
     "SamplingDiverged",
     "cfg_eps",
+    "check_beta_range",
     "check_timesteps",
     "forward_noise",
     "sample",

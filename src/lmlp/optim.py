@@ -15,6 +15,13 @@ import numpy as np
 from .tensor import Tensor, UsageError
 
 
+def check_betas(beta1: float, beta2: float) -> None:
+    """AdamW's rule for its moment decay rates: each lies in [0, 1)."""
+    for key, value in (("beta1", beta1), ("beta2", beta2)):
+        if not 0.0 <= value < 1.0:
+            raise UsageError(f"{key} must lie in [0, 1), got {value!r}")
+
+
 class AdamW:
     """Moment estimates per scalar; weight decay is applied directly to the
     parameter (decoupled from the adaptive update)."""
@@ -22,8 +29,7 @@ class AdamW:
     def __init__(self, named_params: list[tuple[str, Tensor]], lr: float = 2e-4,
                  betas: tuple[float, float] = (0.9, 0.9), eps: float = 1e-8,
                  weight_decay: float = 0.0):
-        if not 0.0 <= betas[0] < 1.0 or not 0.0 <= betas[1] < 1.0:
-            raise UsageError("betas must lie in [0, 1)")
+        check_betas(*betas)
         self.names = [name for name, _ in named_params]
         self.params = [p for _, p in named_params]
         dtypes = sorted({p.dtype.name for p in self.params})
@@ -80,4 +86,4 @@ def warmup_lr(base_lr: float, step: int, warmup_steps: int) -> float:
     return base_lr * min(1.0, (step + 1) / warmup_steps)
 
 
-__all__ = ["AdamW", "warmup_lr"]
+__all__ = ["AdamW", "check_betas", "warmup_lr"]

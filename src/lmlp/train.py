@@ -53,11 +53,7 @@ def _truncate_log(log_path: Path, step: int) -> None:
 
 def run_training(config: RunConfig, resume: str | None = None) -> TrainResult:
     """Train per the config; write loss log and periodic checkpoints to out_dir."""
-    config.validate()
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     sched = config.noise_schedule()
-    guidance = config.guidance_config()
 
     if resume is not None:
         snapshot = load_checkpoint(resume)
@@ -86,6 +82,8 @@ def run_training(config: RunConfig, resume: str | None = None) -> TrainResult:
     x0_all = (2.0 * images - 1.0).astype(np.float32)
     del images  # only x0_all is read from here on
 
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)  # only once the resume checks passed
     log_path = out_dir / LOG_NAME
     if log_path.exists():
         _truncate_log(log_path, start_step)
@@ -105,7 +103,7 @@ def run_training(config: RunConfig, resume: str | None = None) -> TrainResult:
             for _ in range(config.grad_accumulation):
                 batch_idx = rng.integers(0, config.num_samples, size=config.batch_size)
                 loss = training_loss(model, x0_all[batch_idx], captions[batch_idx],
-                                     sched, guidance, rng)
+                                     sched, config.caption_keep_prob, rng)
                 loss.backward()
                 step_loss += loss.item()
                 del loss  # frees this micro-batch's graph before the next forward

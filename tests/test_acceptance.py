@@ -20,7 +20,6 @@ from lmlp.cli import main
 from lmlp.complexity import cost_table, lmlp_cost, measure, reference_rows
 from lmlp.config import RunConfig
 from lmlp.diffusion import (
-    GuidanceConfig,
     NoiseSchedule,
     SamplerConfig,
     cfg_eps,
@@ -112,7 +111,7 @@ def test_criterion_03_gradient_correctness():
     x0 = rng.standard_normal((2, 1, 4, 4))
 
     def loss():
-        return training_loss(model, x0, ids, sched, GuidanceConfig(),
+        return training_loss(model, x0, ids, sched, 0.9,
                              np.random.default_rng(6))
 
     worst = max(worst, check_gradients(loss, params))

@@ -220,7 +220,7 @@ class TestForward:
 
     def test_skip_with_depth_one_rejected(self):
         with pytest.raises(backbone.ConfigError):
-            desk_config(depth=1).validate()
+            desk_config(depth=1)
 
     def test_blocks_never_reorder_tokens(self):
         """With every block zeroed (identity maps) the assembled sequence passes

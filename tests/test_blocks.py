@@ -80,10 +80,9 @@ class TestConstruction:
         assert isinstance(small_block("A3"), blocks.GmlpBlock)
 
     def test_glu_without_projection_rejected(self):
-        cfg = blocks.BlockConfig(seq_len=6, embed_dim=8, merge_op="glu",
-                                 merge_projection="none", second_stage="none")
         with pytest.raises(blocks.UnsupportedBlockError):
-            blocks.make_block(cfg, np.random.default_rng(0))
+            blocks.BlockConfig(seq_len=6, embed_dim=8, merge_op="glu",
+                               merge_projection="none", second_stage="none")
 
     def test_f2_first_stage_parameter_count(self):
         """Branch linears plus merge projection: 2*D^2 + L^2 weights (+ biases)."""

@@ -20,6 +20,23 @@ def trained_checkpoint(tmp_path):
     return tmp_path / "train" / checkpoint_name(2)
 
 
+class TestArgumentErrors:
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["train", "--bananas", "1"],
+        ["sample", "--checkpoint", "m.lmlp", "--captions", "c.txt", "--cfg-scale", "-inf"],
+    ], ids=["missing-verb", "unknown-flag", "cfg-scale-read-as-a-flag"])
+    def test_one_line_and_exit_2(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: lmlp") and captured.err.count("\n") == 1
+
+    def test_help_exits_0(self, capsys):
+        assert main(["train", "--help"]) == 0
+        assert "--config" in capsys.readouterr().out
+
+
 class TestBench:
     def test_paper_rows(self, capsys):
         assert main(["bench", "--paper"]) == 0
@@ -107,6 +124,7 @@ class TestTrainCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "seed is 7 here but 0" in err and err.count("\n") == 1
+        assert not (tmp_path / "r").exists()
 
     def test_resume_with_other_train_timesteps_exits_2(self, trained_checkpoint, tmp_path,
                                                         capsys):
@@ -166,6 +184,40 @@ class TestTrainCommand:
         assert captured.out == ""
         assert f"{key} must be finite" in captured.err and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("key, flags", [
+        ("beta1", ["--beta1=1.5"]),
+        ("beta2", ["--beta2=1"]),
+        ("beta_start", ["--beta-start=0.5", "--beta-end=0.1"]),
+        ("beta_start", ["--beta-start=0"]),
+        ("beta_end", ["--beta-end=1"]),
+        ("seed", ["--seed=-1"]),
+        ("data_seed", ["--data-seed=-2"]),
+        ("mlp_scale", ["--mlp-scale=1e308"]),
+        ("embed_dim", ["--preset=TRANSFORMER", "--embed-dim=194"]),
+        ("caption_keep_prob", ["--caption-keep-prob=1.5"]),
+        ("learning_rate", ["--learning-rate=0"]),
+        ("batch_size", ["--batch-size=0"]),
+        ("sample_steps", ["--sample-steps=0"]),
+        ("skip_mode", ["--skip-mode=sideways"]),
+        ("in_channels", ["--in-channels=4"]),
+    ])
+    def test_every_run_rule_refuses_before_writing(self, tmp_path, capsys, key, flags):
+        """A bad key exits 2 with one line naming it, from ``train`` before its
+        out-dir exists and from ``show-config``."""
+        out = tmp_path / "t"
+        code = main(["train", "--image-side", "8", "--embed-dim", "8", "--depth", "2",
+                     "--text-tokens", "3", "--mlp-scale", "2.0", "--num-samples", "8",
+                     "--train-steps", "1", "--batch-size", "2", "--warmup-steps", "1",
+                     *flags, "--out-dir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert key in err and err.count("\n") == 1
+        assert not out.exists()
+        assert main(["show-config", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert key in captured.err and captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("flag, value", [("--text-tokens", "2"), ("--image-side", "4")])
     def test_show_config_rejects_bad_data_keys(self, capsys, flag, value):
         assert main(["show-config", flag, value]) == 2
@@ -224,6 +276,17 @@ class TestSampleCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "guidance scale must be finite" in err and err.count("\n") == 1
+        assert not (tmp_path / "s").exists()
+
+    def test_negative_seed_exits_2(self, trained_checkpoint, tmp_path, capsys):
+        captions = tmp_path / "c.txt"
+        captions.write_text("square center bright\n")
+        code = main(["sample", "--checkpoint", str(trained_checkpoint),
+                     "--captions", str(captions), "--seed=-1", "--steps", "2",
+                     "--out-dir", str(tmp_path / "s")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "rng_seed must be non-negative" in err and err.count("\n") == 1
         assert not (tmp_path / "s").exists()
 
     def test_checkpoint_with_bad_config_exits_1(self, trained_checkpoint, tmp_path, capsys):
@@ -300,6 +363,13 @@ class TestGenDataCommand:
         assert main(["gen-data", "--seed", "1", "--count", "0",
                      "--out-dir", str(out)]) == 0
         assert (out / "captions.tsv").read_text() == "index\ttoken_ids\n"
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        assert main(["gen-data", "--seed=-1", "--count", "1",
+                     "--out-dir", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "seed must be non-negative" in err and err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
 
     def test_bad_side_exits_2(self, tmp_path, capsys):
         assert main(["gen-data", "--seed", "1", "--count", "1", "--side", "9",

@@ -71,14 +71,14 @@ class TestConfigFormat:
 
     def test_validate_rejects_bad_geometry(self):
         with pytest.raises(Exception):
-            tiny_config(image_side=5).validate()
+            tiny_config(image_side=5)
 
     def test_one_config_error_class(self):
         assert ConfigError is backbone.ConfigError
 
     def test_validate_rejects_unknown_preset(self):
         with pytest.raises(ConfigError, match="ZZ"):
-            tiny_config(preset="ZZ").validate()
+            tiny_config(preset="ZZ")
 
 
 class TestOptimizer:
@@ -346,6 +346,21 @@ class TestMalformedCheckpoint:
         bad = tmp_path / "bad.lmlp"
         bad.write_bytes(corrupt(path.read_bytes(), name))
         with pytest.raises(CheckpointError):
+            load_checkpoint(bad)
+
+    @pytest.mark.parametrize("old, new, key", [
+        (b"beta1 = 0.9", b"beta1 = 1.5", "beta1"),
+        (b"beta_start = 0.0001", b"beta_start = 0.9999", "beta_start"),
+    ])
+    def test_embedded_config_error_names_the_key(self, tmp_path, old, new, key):
+        """The embedded config is held to every rule a run config is."""
+        config = tiny_config()
+        model = build_model(config.backbone_config(), config.seed, dtype=np.float32)
+        path = tmp_path / "m.lmlp"
+        save_checkpoint(path, config, model, 0)
+        bad = tmp_path / "bad.lmlp"
+        bad.write_bytes(_config_text(old, new)(path.read_bytes(), None))
+        with pytest.raises(CheckpointError, match=f"bad embedded config: {key}|{key} "):
             load_checkpoint(bad)
 
     def test_non_finite_optimizer_moment_rejected(self, tmp_path):

@@ -8,7 +8,6 @@ from lmlp import tensor as T
 from lmlp.backbone import BackboneConfig, build_model
 from lmlp.config import RunConfig
 from lmlp.diffusion import (
-    GuidanceConfig,
     NoiseSchedule,
     SamplerConfig,
     SamplingDiverged,
@@ -111,19 +110,18 @@ class TestTrainingLoss:
         shadow.integers(0, sched.num_steps, size=3)
         eps = shadow.standard_normal(x0.shape)
         oracle = StubModel(lambda x_t, i, t: Tensor(eps))
-        loss = training_loss(oracle, x0, ids, sched, GuidanceConfig(),
+        loss = training_loss(oracle, x0, ids, sched, 0.9,
                              np.random.default_rng(42))
         assert loss.item() == 0.0
 
     def test_zero_model_loss_is_unit_variance(self, sched):
         """Predicting zero leaves the full noise: expected per-dim loss 1."""
         zero = StubModel(lambda x_t, i, t: Tensor(np.zeros(x_t.shape)))
-        guidance = GuidanceConfig()
         total, count = 0.0, 0
         for rep in range(10):
             x0 = np.zeros((10, 1, 10, 10))
             ids = np.ones((10, 2), dtype=int)
-            loss = training_loss(zero, x0, ids, sched, guidance,
+            loss = training_loss(zero, x0, ids, sched, 0.9,
                                  np.random.default_rng(100 + rep))
             total += loss.item()
             count += 1
@@ -134,7 +132,7 @@ class TestTrainingLoss:
         spy = StubModel(lambda x_t, i, t: (seen.append(i.copy()), Tensor(np.zeros(x_t.shape)))[1])
         x0 = np.zeros((400, 1, 4, 4))
         ids = np.ones((400, 2), dtype=int)
-        training_loss(spy, x0, ids, sched, GuidanceConfig(caption_keep_prob=0.9),
+        training_loss(spy, x0, ids, sched, 0.9,
                       np.random.default_rng(3))
         dropped = (seen[0] == 0).all(axis=1).mean()
         assert 0.05 < dropped < 0.2
@@ -142,7 +140,7 @@ class TestTrainingLoss:
     def test_empty_batch_rejected(self, sched):
         with pytest.raises(T.UsageError):
             training_loss(StubModel(lambda x, i, t: x), np.zeros((0, 1, 4, 4)),
-                          np.zeros((0, 2), dtype=int), sched, GuidanceConfig(),
+                          np.zeros((0, 2), dtype=int), sched, 0.9,
                           np.random.default_rng(0))
 
     def test_loss_gradients_match_finite_differences(self, sched):
@@ -154,7 +152,7 @@ class TestTrainingLoss:
         params = [p for _, p in model.named_parameters()]
 
         def loss():
-            return training_loss(model, x0, ids, sched, GuidanceConfig(),
+            return training_loss(model, x0, ids, sched, 0.9,
                                  np.random.default_rng(7))
 
         check_gradients(loss, params)
@@ -168,7 +166,7 @@ class TestTrainingLoss:
         x0 = rng.standard_normal((2, 1, config.image_side, config.image_side))
         ids = np.ones((2, config.text_tokens), dtype=int)
         loss = training_loss(model, x0, ids, config.noise_schedule(),
-                             config.guidance_config(), rng)
+                             config.caption_keep_prob, rng)
         return len(T._graph_nodes(loss))
 
     def test_desk_step_records_at_most_63_graph_nodes(self):
@@ -195,11 +193,11 @@ class TestTrainingLoss:
         side = config.image_side
         x0 = rng.standard_normal((config.batch_size, 1, side, side)).astype(np.float32)
         ids = np.ones((config.batch_size, config.text_tokens), dtype=int)
-        sched, guidance = config.noise_schedule(), config.guidance_config()
+        sched = config.noise_schedule()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            loss = training_loss(model, x0, ids, sched, guidance, rng)
+            loss = training_loss(model, x0, ids, sched, config.caption_keep_prob, rng)
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()

@@ -960,7 +960,7 @@ class TestSplit:
         x0 = rng.standard_normal((batch, 1, side, side)).astype(np.float32)
         ids = rng.integers(1, 5, (batch, config.text_tokens))
         asked = force_split(monkeypatch, True)
-        training_loss(model, x0, ids, sched, config.guidance_config(), rng).backward()
+        training_loss(model, x0, ids, sched, config.caption_keep_prob, rng).backward()
         sample(model, ids, sched, SamplerConfig(num_steps=1), config.guidance_scale, 0)
         assert asked == []
 

@@ -160,14 +160,15 @@ model = build_model(config.backbone_config(), 0, dtype=np.float32)
 optimizer = AdamW(list(model.named_parameters()), lr=config.learning_rate)
 images, captions = generate_arrays(config.dataset_config(), config.num_samples)
 x0_all = (2.0 * images - 1.0).astype(np.float32)
-sched, guidance = config.noise_schedule(), config.guidance_config()
+sched = config.noise_schedule()
 for step in range(50):
     if step == 20:
         start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     rng = np.random.default_rng((0, step))
     optimizer.zero_grad()
     batch = rng.integers(0, config.num_samples, size=config.batch_size)
-    loss = training_loss(model, x0_all[batch], captions[batch], sched, guidance, rng)
+    loss = training_loss(model, x0_all[batch], captions[batch], sched,
+                         config.caption_keep_prob, rng)
     loss.backward()
     del loss
     optimizer.step(config.learning_rate)
