@@ -105,14 +105,9 @@ def export_map(wmap: WeightMap, path, fmt: str, mark_boundaries: bool = False) -
             for index in wmap.boundaries:
                 bytes_img[index, :] = 255
                 bytes_img[:, index] = 255
-        pgm.write_pgm(path, bytes_img)
+        pgm.write_pnm(path, bytes_img)
         return
     raise T.UsageError(f"unknown export format {fmt!r}")
-
-
-def read_map_csv(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        return np.array([[float(cell) for cell in row] for row in csv_mod.reader(fh)])
 
 
 __all__ = [
@@ -123,6 +118,5 @@ __all__ = [
     "export_map",
     "extract_first_stage",
     "normalize_unit",
-    "read_map_csv",
     "region_stats",
 ]

@@ -155,7 +155,7 @@ class BlockConfig:
         if self.kind not in KINDS:
             raise UnsupportedBlockError(f"unknown block kind {self.kind!r}")
         if self.seq_len < 1 or self.embed_dim < 1:
-            raise T.ShapeError("seq_len and embed_dim must be positive")
+            raise UnsupportedBlockError("seq_len and embed_dim must be positive")
         if self.kind == "lmlp":
             for axis, allowed in LMLP_AXIS_VALUES.items():
                 if getattr(self, axis) not in allowed:
@@ -362,14 +362,10 @@ def make_block(cfg: BlockConfig, rng: np.random.Generator, dtype=np.float64) -> 
     return _BLOCK_CLASSES[cfg.kind](cfg, rng, dtype)
 
 
-def build_block(cfg: BlockConfig | str, rng_seed: int, *, seq_len: int | None = None,
-                embed_dim: int | None = None, mlp_scale: float = 4.0,
-                dtype=np.float64) -> Block:
-    """Construct a block from a config or preset name; deterministic per seed."""
-    if isinstance(cfg, str):
-        if seq_len is None or embed_dim is None:
-            raise T.UsageError("preset construction needs seq_len and embed_dim")
-        cfg = preset_config(cfg, seq_len, embed_dim, mlp_scale)
+def build_block(preset: str, rng_seed: int, *, seq_len: int, embed_dim: int,
+                mlp_scale: float = 4.0, dtype=np.float64) -> Block:
+    """Construct a block from a preset name; deterministic per seed."""
+    cfg = preset_config(preset, seq_len, embed_dim, mlp_scale)
     return make_block(cfg, np.random.default_rng(rng_seed), dtype)
 
 

@@ -150,12 +150,7 @@ def load_checkpoint(path) -> Checkpoint:
         if name in params:
             raise CheckpointError(f"{path}: parameter {name!r} is stored twice")
         rank = reader.unpack("<I")
-        if rank == 0:
-            shape: tuple[int, ...] = ()
-        elif rank == 1:
-            shape = (reader.unpack("<I"),)
-        else:
-            shape = tuple(reader.unpack(f"<{rank}I"))
+        shape = struct.unpack(f"<{rank}I", reader.take(4 * rank))
         params[name] = reader.array(shape, name)
         shapes.append(shape)
     has_opt = reader.unpack("<B")

@@ -97,15 +97,15 @@ def cmd_sample(args) -> int:
 # bench
 # ---------------------------------------------------------------------------
 
-def _parse_row(spec: str) -> tuple[str, int, int, float, str]:
+def _parse_spec(flag: str, spec: str, form: str, *types) -> tuple:
+    """Split a colon-separated ``--flag`` value and convert each part."""
     parts = spec.split(":")
-    if len(parts) != 5:
-        raise T.UsageError(f"row spec must be name:L:D:s:kind, got {spec!r}")
-    name, seq, dim, scale, kind = parts
+    if len(parts) != len(types):
+        raise T.UsageError(f"{flag} spec must be {form}, got {spec!r}")
     try:
-        return name, int(seq), int(dim), float(scale), kind
+        return tuple(kind(part) for kind, part in zip(types, parts))
     except ValueError as exc:
-        raise T.UsageError(f"bad row spec {spec!r}: {exc}") from exc
+        raise T.UsageError(f"bad {flag} spec {spec!r}: {exc}") from exc
 
 
 def cmd_bench(args) -> int:
@@ -113,7 +113,8 @@ def cmd_bench(args) -> int:
     if args.paper:
         rows.extend(reference_rows())
     for spec in args.row or ():
-        rows.append(_parse_row(spec))
+        rows.append(_parse_spec("--row", spec, "NAME:L:D:S:KIND",
+                                str, int, int, float, str))
     if not rows and not args.measure:
         raise T.UsageError("nothing to do: pass --paper, --row or --measure")
     if rows:
@@ -125,23 +126,17 @@ def cmd_bench(args) -> int:
             print()
             print(csv_text, end="")
     if args.measure:
-        parts = args.measure.split(":")
-        if len(parts) != 4:
-            raise T.UsageError(f"measure spec must be PRESET:L:D:s, got {args.measure!r}")
-        preset = parts[0]
-        try:
-            seq, dim, scale = int(parts[1]), int(parts[2]), float(parts[3])
-        except ValueError as exc:
-            raise T.UsageError(f"bad measure spec {args.measure!r}: {exc}") from exc
-        block = build_block(preset, args.seed, seq_len=seq, embed_dim=dim,
-                            mlp_scale=scale)
-        measured = measure(block, seq, dim)
+        preset, seq, dim, scale = _parse_spec("--measure", args.measure, "PRESET:L:D:S",
+                                              str, int, int, float)
+        # executed MACs and trainable-scalar counts do not depend on the weights
+        block = build_block(preset, 0, seq_len=seq, embed_dim=dim, mlp_scale=scale)
+        macs_measured, params_measured = measure(block, seq, dim)
         kind = block.cfg.kind
-        macs = f"macs {measured.macs_measured}"
-        params = f"trainable scalars {measured.params_measured}"
+        macs = f"macs {macs_measured}"
+        params = f"trainable scalars {params_measured}"
         if kind in ANALYTIC_KINDS:
             analytic = analytic_cost(kind, seq, dim, scale)
-            exact = measured.macs_measured == int(analytic.macs)
+            exact = macs_measured == int(analytic.macs)
             macs += f" (analytic {analytic.macs:.0f}, exact={'yes' if exact else 'no'})"
             params += f" (leading-term {analytic.params:.0f})"
         else:
@@ -164,22 +159,22 @@ def cmd_inspect(args) -> int:
     else:
         layers = [args.layer]
     sides = ("left", "right") if args.side == "both" else (args.side,)
+    # every map is extracted before anything is written, so a bad layer leaves no out-dir
+    maps = [analysis.normalize_unit(analysis.extract_first_stage(model, layer, side))
+            for layer in layers for side in sides]
+    stats_rows = ["layer,side,region,mean,std"]
+    for wmap in maps:
+        if wmap.boundaries is not None:
+            for region, (mean, std) in analysis.region_stats(wmap).items():
+                stats_rows.append(
+                    f"{wmap.layer_index},{wmap.side},{region},{mean!r},{std!r}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    stats_rows = ["layer,side,region,mean,std"]
-    written = 0
-    for layer in layers:
-        for side in sides:
-            wmap = analysis.normalize_unit(analysis.extract_first_stage(model, layer, side))
-            path = out_dir / f"weights_layer{layer:02d}_{side}.{args.format}"
-            analysis.export_map(wmap, path, args.format,
-                                mark_boundaries=args.mark_boundaries)
-            written += 1
-            if wmap.boundaries is not None:
-                for region, (mean, std) in analysis.region_stats(wmap).items():
-                    stats_rows.append(f"{layer},{side},{region},{mean!r},{std!r}")
+    for wmap in maps:
+        path = out_dir / f"weights_layer{wmap.layer_index:02d}_{wmap.side}.{args.format}"
+        analysis.export_map(wmap, path, args.format, mark_boundaries=args.mark_boundaries)
     (out_dir / "region_stats.csv").write_text("\n".join(stats_rows) + "\n")
-    print(f"wrote {written} weight maps and region_stats.csv to {out_dir}")
+    print(f"wrote {len(maps)} weight maps and region_stats.csv to {out_dir}")
     return 0
 
 
@@ -243,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="build a block and report its measured cost, and the "
                             "analytic one where its kind has a formula")
     bench.add_argument("--csv", help="also write the CSV table to this path")
-    bench.add_argument("--seed", type=int, default=0)
     bench.set_defaults(handler=cmd_bench)
 
     inspect = commands.add_parser("inspect", help="export first-stage weight maps")

@@ -28,22 +28,18 @@ CSV_HEADER = "name,L,D,s,macs,params,mp_ratio"
 
 @dataclass
 class BlockCost:
-    """Analytic and/or measured cost of one block at a given (L, D, s)."""
+    """Analytic cost of one block at a given (L, D, s)."""
 
-    macs: float | None = None
-    macs_param: float | None = None
-    params: float | None = None
-    macs_measured: int | None = None
-    params_measured: int | None = None
+    macs: float
+    macs_param: float
+    params: float
 
     @property
     def mp_ratio(self) -> float:
         """MACs per parameter using the weight-projection MAC convention."""
-        if self.macs_param is not None and self.params:
-            return self.macs_param / self.params
-        if self.macs_measured is not None and self.params_measured:
-            return self.macs_measured / self.params_measured
-        raise T.UsageError("mp_ratio needs positive parameter counts")
+        if not self.params:
+            raise T.UsageError("mp_ratio needs a positive parameter count")
+        return self.macs_param / self.params
 
 
 def transformer_cost(seq_len: int, embed_dim: int, scale: float) -> BlockCost:
@@ -85,13 +81,13 @@ def analytic_cost(kind: str, seq_len: int, embed_dim: int, scale: float) -> Bloc
     return _ANALYTIC[kind](seq_len, embed_dim, scale)
 
 
-def measure(block: Block, seq_len: int, embed_dim: int, batch: int = 1) -> BlockCost:
-    """Run one forward pass and count executed matmul MACs and trainable scalars."""
-    x = T.Tensor(np.ones((batch, seq_len, embed_dim)))
+def measure(block: Block, seq_len: int, embed_dim: int) -> tuple[int, int]:
+    """Run one forward pass; return (executed matmul MACs, trainable scalars)."""
+    _, weight = next(block.named_parameters())
+    x = T.Tensor(np.ones((1, seq_len, embed_dim), dtype=weight.dtype))
     with T.no_grad(), T.count_macs() as counter:
         block.forward(x)
-    return BlockCost(macs_measured=counter.total,
-                     params_measured=parameter_count(block))
+    return counter.total, parameter_count(block)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ import numpy as np
 
 from .tensor import Tensor, UsageError
 
+_EPS = 1e-8
+
 
 def check_betas(beta1: float, beta2: float) -> None:
     """AdamW's rule for its moment decay rates: each lies in [0, 1)."""
@@ -26,18 +28,15 @@ class AdamW:
     """Moment estimates per scalar; weight decay is applied directly to the
     parameter (decoupled from the adaptive update)."""
 
-    def __init__(self, named_params: list[tuple[str, Tensor]], lr: float = 2e-4,
-                 betas: tuple[float, float] = (0.9, 0.9), eps: float = 1e-8,
-                 weight_decay: float = 0.0):
+    def __init__(self, named_params: list[tuple[str, Tensor]],
+                 betas: tuple[float, float] = (0.9, 0.9), weight_decay: float = 0.0):
         check_betas(*betas)
         self.names = [name for name, _ in named_params]
         self.params = [p for _, p in named_params]
         dtypes = sorted({p.dtype.name for p in self.params})
         if len(dtypes) != 1:
             raise UsageError(f"AdamW needs parameters of one dtype, got {dtypes}")
-        self.lr = lr
         self.betas = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
         self.flat = np.concatenate([p.data.reshape(-1) for p in self.params])
@@ -52,12 +51,11 @@ class AdamW:
     def zero_grad(self) -> None:
         self.grad[...] = 0
 
-    def step(self, lr: float | None = None) -> None:
-        """One update using the accumulated gradient."""
+    def step(self, lr: float) -> None:
+        """One update at learning rate ``lr`` using the accumulated gradient."""
         for name, p in zip(self.names, self.params):
             if p.data.base is not self.flat or getattr(p.grad, "base", None) is not self.grad:
                 raise UsageError(f"{name}: data or grad was rebound after AdamW was built")
-        lr_now = self.lr if lr is None else lr
         beta1, beta2 = self.betas
         self.step_count += 1
         bias1 = 1.0 - beta1 ** self.step_count
@@ -67,8 +65,8 @@ class AdamW:
         m += (1.0 - beta1) * g
         v *= beta2
         v += (1.0 - beta2) * g * g
-        update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
-        self.flat -= lr_now * (update + self.weight_decay * self.flat)
+        update = (m / bias1) / (np.sqrt(v / bias2) + _EPS)
+        self.flat -= lr * (update + self.weight_decay * self.flat)
 
     def load_state(self, step_count: int, exp_avg: list[np.ndarray],
                    exp_avg_sq: list[np.ndarray]) -> None:

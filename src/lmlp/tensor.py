@@ -324,16 +324,10 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(_as_tensor(other, self.dtype), self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
     def sum(self) -> "Tensor":
         return tensor_sum(self)

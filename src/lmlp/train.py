@@ -72,8 +72,7 @@ def run_training(config: RunConfig, resume: str | None = None) -> TrainResult:
         snapshot = None
         model = build_model(config.backbone_config(), config.seed, dtype=np.float32)
         start_step = 0
-    optimizer = AdamW(list(model.named_parameters()), lr=config.learning_rate,
-                      betas=(config.beta1, config.beta2),
+    optimizer = AdamW(list(model.named_parameters()), betas=(config.beta1, config.beta2),
                       weight_decay=config.weight_decay)
     if snapshot is not None and snapshot.opt_step is not None:
         optimizer.load_state(snapshot.opt_step, snapshot.opt_exp_avg, snapshot.opt_exp_avg_sq)

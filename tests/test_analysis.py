@@ -7,7 +7,6 @@ from lmlp.analysis import (
     export_map,
     extract_first_stage,
     normalize_unit,
-    read_map_csv,
     region_stats,
 )
 from lmlp.backbone import BackboneConfig, build_model
@@ -147,7 +146,7 @@ class TestExport:
         wmap = WeightMap(np.array([[0.0, 1.0], [1.0, 0.0]]), "left", 0, None)
         path = tmp_path / "map.pgm"
         export_map(wmap, path, "pgm")
-        img = pgm.read_pgm(path)
+        img = pgm.read_pnm(path)
         assert np.array_equal(img, [[0, 255], [255, 0]])
 
     def test_csv_roundtrip(self, tmp_path):
@@ -155,7 +154,7 @@ class TestExport:
         wmap = normalize_unit(WeightMap(rng.standard_normal((4, 4)), "left", 0, None))
         path = tmp_path / "map.csv"
         export_map(wmap, path, "csv")
-        back = read_map_csv(path)
+        back = np.loadtxt(path, delimiter=",")
         assert np.abs(back - wmap.matrix).max() < 1e-6
 
     def test_pgm_quantization_bound(self, tmp_path):
@@ -163,14 +162,14 @@ class TestExport:
         wmap = normalize_unit(WeightMap(rng.standard_normal((16, 16)), "left", 0, None))
         path = tmp_path / "map16.pgm"
         export_map(wmap, path, "pgm")
-        back = pgm.read_pgm(path).astype(float) / 255.0
+        back = pgm.read_pnm(path).astype(float) / 255.0
         assert np.abs(back - wmap.matrix).max() <= 0.5 / 255.0 + 1e-12
 
     def test_boundary_marking(self, tmp_path):
         wmap = WeightMap(np.zeros((6, 6)), "left", 2, (1, 3))
         path = tmp_path / "marked.pgm"
         export_map(wmap, path, "pgm", mark_boundaries=True)
-        img = pgm.read_pgm(path)
+        img = pgm.read_pnm(path)
         assert (img[1, :] == 255).all() and (img[:, 3] == 255).all()
         assert img[0, 0] == 0
 

@@ -1,3 +1,6 @@
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from lmlp import pgm
@@ -6,6 +9,7 @@ from lmlp.config import RunConfig, serialize_config
 from lmlp.train import checkpoint_name, run_training
 
 
+GOLDEN_DIR = Path(__file__).parent / "data"
 FLOAT_KEYS = ("learning_rate", "weight_decay", "beta1", "beta2", "mlp_scale",
               "beta_start", "beta_end", "guidance_scale", "caption_keep_prob")
 
@@ -83,6 +87,15 @@ class TestBench:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "positive finite" in captured.err and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["--measure", "D2:0:8:2"],
+                                      ["--measure", "D2:6:8:2", "--seed=-1"]],
+                             ids=["zero-seq-len", "no-seed-flag"])
+    def test_usage_mistake_exits_2(self, capsys, argv):
+        assert main(["bench", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
     def test_custom_row(self, capsys):
         assert main(["bench", "--row", "mine:10:16:2:lmlp"]) == 0
@@ -338,9 +351,18 @@ class TestInspectCommand:
         assert main(["inspect", "--checkpoint", str(trained_checkpoint),
                      "--layer", "0", "--side", "left", "--format", "csv",
                      "--out-dir", str(out)]) == 0
-        from lmlp.analysis import read_map_csv
-        values = read_map_csv(out / "weights_layer00_left.csv")
+        values = np.loadtxt(out / "weights_layer00_left.csv", delimiter=",")
         assert values.min() >= 0.0 and values.max() <= 1.0
+
+    @pytest.mark.parametrize("tag, flags", [("f2", ["--layer", "99"]), ("a3", ["--all-layers"])],
+                             ids=["layer-out-of-range", "no-two-branch-layer"])
+    def test_refused_layer_leaves_no_out_dir(self, capsys, tmp_path, tag, flags):
+        out = tmp_path / "maps"
+        assert main(["inspect", "--checkpoint", str(GOLDEN_DIR / f"golden_{tag}.lmlp"),
+                     *flags, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_layer_without_flag_is_usage_error(self, trained_checkpoint, tmp_path):
         assert main(["inspect", "--checkpoint", str(trained_checkpoint),
@@ -355,7 +377,7 @@ class TestGenDataCommand:
                          "--out-dir", str(out)]) == 0
         for name in sorted(p.name for p in a.iterdir()):
             assert (a / name).read_bytes() == (b / name).read_bytes()
-        img = pgm.read_pgm(a / "00000.pgm")
+        img = pgm.read_pnm(a / "00000.pgm")
         assert img.shape == (8, 8)
 
     def test_zero_count(self, tmp_path):

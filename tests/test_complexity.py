@@ -90,30 +90,37 @@ class TestMeasurement:
     @pytest.mark.parametrize("seq,dim,scale", [(6, 8, 2.0), (334, 512, 4.0)])
     def test_lmlp_measured_equals_analytic_exactly(self, seq, dim, scale):
         block = blocks.build_block("D2", 0, seq_len=seq, embed_dim=dim, mlp_scale=scale)
-        measured = measure(block, seq, dim)
-        assert measured.macs_measured == int(lmlp_cost(seq, dim, scale).macs)
+        macs, _ = measure(block, seq, dim)
+        assert macs == int(lmlp_cost(seq, dim, scale).macs)
 
     def test_transformer_measured_equals_analytic_exactly(self):
         block = blocks.build_block("transformer", 0, seq_len=64, embed_dim=128,
                                    mlp_scale=4.0)
-        measured = measure(block, 64, 128)
-        assert measured.macs_measured == int(transformer_cost(64, 128, 4.0).macs)
+        macs, _ = measure(block, 64, 128)
+        assert macs == int(transformer_cost(64, 128, 4.0).macs)
 
     def test_parameter_gap_is_exactly_biases_and_norm_affines(self):
         seq, dim, scale = 6, 8, 2.0
         block = blocks.build_block("D2", 1, seq_len=seq, embed_dim=dim, mlp_scale=scale)
-        measured = measure(block, seq, dim)
+        _, params = measure(block, seq, dim)
         hidden = blocks.mlp_hidden(dim, scale)
         biases = dim + seq + dim + hidden + dim           # fnn_r, fnn_l, proj, fc1, fc2
         norms = 2 * dim + 2 * seq + 2 * dim               # norm_r, norm_l, norm_2
         analytic = int(lmlp_cost(seq, dim, scale).params)
-        assert measured.params_measured - analytic == biases + norms
+        assert params - analytic == biases + norms
 
     def test_fractional_scale_rounding_gap_is_small(self):
         seq, dim, scale = 334, 512, 5.2
         block = blocks.build_block("D2", 2, seq_len=seq, embed_dim=dim, mlp_scale=scale)
-        measured = measure(block, seq, dim)
-        assert rel(measured.macs_measured, lmlp_cost(seq, dim, scale).macs) < 1e-3
+        macs, _ = measure(block, seq, dim)
+        assert rel(macs, lmlp_cost(seq, dim, scale).macs) < 1e-3
+
+    @pytest.mark.parametrize("preset", blocks.PRESET_NAMES)
+    def test_float32_and_float64_blocks_measure_the_same(self, preset):
+        counts = [measure(blocks.build_block(preset, 0, seq_len=6, embed_dim=8,
+                                             mlp_scale=2.0, dtype=dtype), 6, 8)
+                  for dtype in (np.float32, np.float64)]
+        assert counts[0] == counts[1]
 
 
 class TestCostTable:

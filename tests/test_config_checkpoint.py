@@ -90,27 +90,27 @@ class TestOptimizer:
 
     def test_single_step_matches_hand_computation(self):
         p = T.Tensor(np.array([1.0, -2.0], dtype=np.float32), requires_grad=True)
-        opt = AdamW([("p", p)], lr=0.1, betas=(0.9, 0.99), eps=1e-8, weight_decay=0.0)
+        opt = AdamW([("p", p)], betas=(0.9, 0.99), weight_decay=0.0)
         p.grad[...] = [0.5, -0.5]
-        opt.step()
+        opt.step(0.1)
         # first step: mhat = g, vhat = g^2 -> update = g / (|g| + eps) = sign(g)
         assert np.allclose(p.data, [1.0 - 0.1, -2.0 + 0.1], atol=1e-6)
 
     def test_decoupled_weight_decay_shrinks_without_gradient_coupling(self):
         p = T.Tensor(np.array([2.0], dtype=np.float32), requires_grad=True)
-        opt = AdamW([("p", p)], lr=0.1, betas=(0.9, 0.99), weight_decay=0.5)
+        opt = AdamW([("p", p)], betas=(0.9, 0.99), weight_decay=0.5)
         p.grad[...] = 0.0
-        opt.step()
+        opt.step(0.1)
         assert np.allclose(p.data, [2.0 - 0.1 * 0.5 * 2.0])
 
     @pytest.mark.parametrize("attr", ["grad", "data"])
     def test_rebound_parameter_is_refused(self, attr):
         p = T.Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
         q = T.Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
-        opt = AdamW([("p", p), ("q", q)], lr=0.1)
+        opt = AdamW([("p", p), ("q", q)])
         setattr(q, attr, np.zeros(3, dtype=np.float32))
         with pytest.raises(T.UsageError, match="q: data or grad was rebound"):
-            opt.step()
+            opt.step(0.1)
 
     def test_mixed_parameter_dtypes_are_refused(self):
         p = T.Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
@@ -125,7 +125,7 @@ class TestOptimizer:
         model = build_model(config.backbone_config(), config.seed, dtype=np.float32)
         named = list(model.named_parameters())
         beta1, beta2, eps, decay = 0.9, 0.99, 1e-8, 0.03
-        opt = AdamW(named, lr=1e-2, betas=(beta1, beta2), eps=eps, weight_decay=decay)
+        opt = AdamW(named, betas=(beta1, beta2), weight_decay=decay)
         ref = [(p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data))
                for _, p in named]
         rng = np.random.default_rng(3)
@@ -154,8 +154,7 @@ class TestCheckpoint:
     def build(self, config, model=None):
         if model is None:
             model = build_model(config.backbone_config(), config.seed, dtype=np.float32)
-        optimizer = AdamW(list(model.named_parameters()), lr=config.learning_rate,
-                          betas=(config.beta1, config.beta2),
+        optimizer = AdamW(list(model.named_parameters()), betas=(config.beta1, config.beta2),
                           weight_decay=config.weight_decay)
         return model, optimizer
 
@@ -249,7 +248,7 @@ class TestCheckpoint:
         config = tiny_config()
         model, _ = self.build(config)
         named = list(model.named_parameters())[::-1]
-        optimizer = AdamW(named, lr=1e-3)
+        optimizer = AdamW(named)
         model.named_parameters = lambda: iter(named)
         path = tmp_path / "reversed.lmlp"
         save_checkpoint(path, config, model, 0, optimizer=optimizer)
@@ -366,7 +365,7 @@ class TestMalformedCheckpoint:
     def test_non_finite_optimizer_moment_rejected(self, tmp_path):
         config = tiny_config()
         model = build_model(config.backbone_config(), config.seed, dtype=np.float32)
-        optimizer = AdamW(list(model.named_parameters()), lr=1e-3)
+        optimizer = AdamW(list(model.named_parameters()))
         optimizer.exp_avg_sq[-1][...] = np.inf
         path = tmp_path / "m.lmlp"
         save_checkpoint(path, config, model, 0, optimizer=optimizer)

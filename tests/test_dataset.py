@@ -124,14 +124,14 @@ class TestFiles:
         cfg = ToyDatasetConfig(channels=3, seed=2)
         write_dataset(cfg, 1, tmp_path / "rgb")
         image, _ = sample(cfg, 0)
-        back = pgm.read_ppm(tmp_path / "rgb" / "00000.ppm")
+        back = pgm.read_pnm(tmp_path / "rgb" / "00000.ppm")
         assert np.array_equal(back, quantize(np.moveaxis(image, 0, -1)))
 
     def test_two_channels_write_channel_zero_as_pgm(self, tmp_path):
         cfg = ToyDatasetConfig(channels=2, seed=4)
         write_dataset(cfg, 1, tmp_path / "two")
         image, _ = sample(cfg, 0)
-        back = pgm.read_pgm(tmp_path / "two" / "00000.pgm")
+        back = pgm.read_pnm(tmp_path / "two" / "00000.pgm")
         assert np.array_equal(back, quantize(image[0]))
 
     def test_generate_arrays_matches_samples(self):

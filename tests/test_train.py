@@ -157,7 +157,7 @@ from lmlp.optim import AdamW
 
 config = RunConfig()
 model = build_model(config.backbone_config(), 0, dtype=np.float32)
-optimizer = AdamW(list(model.named_parameters()), lr=config.learning_rate)
+optimizer = AdamW(list(model.named_parameters()))
 images, captions = generate_arrays(config.dataset_config(), config.num_samples)
 x0_all = (2.0 * images - 1.0).astype(np.float32)
 sched = config.noise_schedule()
