@@ -8,12 +8,15 @@ Layout (all integers little-endian):
     step    u64      training step the snapshot was taken at
     params  u32 count, then per parameter:
               u32 name length + name bytes
-              u32 rank + u32 extents
+              u32 rank (1 or 2) + u32 extents
               float32 data, little-endian
-    opt     u8 flag; when 1: u64 moment-update count, then for every
-            parameter in order: float32 first-moment data, float32
+    opt     u8 flag, always 1; u64 update count, equal to step; then for
+            every parameter in order: float32 first-moment data, float32
             second-moment data (shapes match the parameter)
 
+A checkpoint is the whole state of an ``AdamW``: its named parameters, its
+update count and its moments, so a resume continues the run exactly. A file
+without moments, or whose update count is not its step, does not load.
 Parameters are stored as 32-bit floats, so checkpointed models are built
 with dtype float32 and round-trip bitwise. A checkpoint is written to a
 temporary file next to its path and renamed into place, so a write that
@@ -49,9 +52,8 @@ class Checkpoint:
     config: RunConfig
     step: int
     params: dict[str, np.ndarray]
-    opt_step: int | None
-    opt_exp_avg: list[np.ndarray] | None
-    opt_exp_avg_sq: list[np.ndarray] | None
+    opt_exp_avg: list[np.ndarray]
+    opt_exp_avg_sq: list[np.ndarray]
 
 
 @contextmanager
@@ -72,40 +74,35 @@ def _write_array(out, arr: np.ndarray) -> None:
     out.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
-def save_checkpoint(path, config: RunConfig, model: UlMlpModel, step: int,
-                    optimizer: AdamW | None = None) -> None:
-    if model.dtype != np.float32:
+def save_checkpoint(path, config: RunConfig, optimizer: AdamW) -> None:
+    """Write ``optimizer``'s parameters, its update count as the step, and its moments."""
+    if optimizer.flat.dtype != np.float32:
         raise UsageError("checkpoints store 32-bit values; build the model with float32")
-    named = list(model.named_parameters())
-    if optimizer is not None and optimizer.names != [name for name, _ in named]:
-        raise UsageError("optimizer does not track the model's parameter list")
     config_bytes = serialize_config(config).encode()
     with atomic_open(path) as out:
         out.write(MAGIC + struct.pack("<I", VERSION))
         out.write(struct.pack("<I", len(config_bytes)) + config_bytes)
-        out.write(struct.pack("<QI", step, len(named)))
-        for name, param in named:
+        out.write(struct.pack("<QI", optimizer.step_count, len(optimizer.params)))
+        for name, param in zip(optimizer.names, optimizer.params):
             name_bytes = name.encode()
             out.write(struct.pack("<I", len(name_bytes)) + name_bytes)
             out.write(struct.pack(f"<I{param.ndim}I", param.ndim, *param.shape))
             _write_array(out, param.data)
-        if optimizer is None:
-            out.write(struct.pack("<B", 0))
-        else:
-            out.write(struct.pack("<BQ", 1, optimizer.step_count))
-            for m, v in zip(optimizer.exp_avg, optimizer.exp_avg_sq):
-                _write_array(out, m)
-                _write_array(out, v)
+        out.write(struct.pack("<BQ", 1, optimizer.step_count))
+        for m, v in zip(optimizer.exp_avg, optimizer.exp_avg_sq):
+            _write_array(out, m)
+            _write_array(out, v)
 
 
 class _Reader:
-    def __init__(self, raw: bytes):
-        self.raw = raw
+    def __init__(self, path):
+        self.path = path
+        self.raw = Path(path).read_bytes()
         self.pos = 0
 
     def take(self, count: int) -> bytes:
         if self.pos + count > len(self.raw):
-            raise CheckpointError("truncated checkpoint")
+            raise CheckpointError(f"{self.path}: truncated checkpoint")
         out = self.raw[self.pos:self.pos + count]
         self.pos += count
         return out
@@ -118,18 +115,18 @@ class _Reader:
         try:
             return self.take(count).decode()
         except UnicodeDecodeError as exc:
-            raise CheckpointError(f"{what} is not UTF-8 text") from exc
+            raise CheckpointError(f"{self.path}: {what} is not UTF-8 text") from exc
 
     def array(self, shape: tuple[int, ...], what: str) -> np.ndarray:
         data = np.frombuffer(self.take(4 * math.prod(shape)), dtype="<f4")
         if not np.isfinite(data).all():
-            raise CheckpointError(f"{what} holds a non-finite value")
+            raise CheckpointError(f"{self.path}: {what} holds a non-finite value")
         return data.reshape(shape).astype(np.float32)
 
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint; any malformed content raises ``CheckpointError``."""
-    reader = _Reader(Path(path).read_bytes())
+    reader = _Reader(path)
     if reader.take(4) != MAGIC:
         raise CheckpointError(f"{path}: bad magic bytes")
     version = reader.unpack("<I")
@@ -143,29 +140,27 @@ def load_checkpoint(path) -> Checkpoint:
     step = reader.unpack("<Q")
     count = reader.unpack("<I")
     params: dict[str, np.ndarray] = {}
-    shapes: list[tuple[int, ...]] = []
     for _ in range(count):
         name_len = reader.unpack("<I")
         name = reader.text(name_len, "parameter name")
         if name in params:
             raise CheckpointError(f"{path}: parameter {name!r} is stored twice")
         rank = reader.unpack("<I")
+        if rank not in (1, 2):  # every model parameter is a vector or a matrix
+            raise CheckpointError(f"{path}: parameter {name!r} has rank {rank}")
         shape = struct.unpack(f"<{rank}I", reader.take(4 * rank))
         params[name] = reader.array(shape, name)
-        shapes.append(shape)
-    has_opt = reader.unpack("<B")
-    if has_opt not in (0, 1):
-        raise CheckpointError(f"{path}: bad optimizer flag {has_opt}")
-    opt_step = opt_avg = opt_avg_sq = None
-    if has_opt:
-        opt_step = reader.unpack("<Q")
-        opt_avg, opt_avg_sq = [], []
-        for name, shape in zip(params, shapes):
-            opt_avg.append(reader.array(shape, f"first moment of {name}"))
-            opt_avg_sq.append(reader.array(shape, f"second moment of {name}"))
+    flag, opt_step = reader.unpack("<BQ")
+    if flag != 1 or opt_step != step:
+        raise CheckpointError(f"{path}: optimizer flag {flag} and update count {opt_step} "
+                              f"do not give the moments of step {step}")
+    opt_avg, opt_avg_sq = [], []
+    for name, param in params.items():
+        opt_avg.append(reader.array(param.shape, f"first moment of {name}"))
+        opt_avg_sq.append(reader.array(param.shape, f"second moment of {name}"))
     if reader.pos != len(reader.raw):
         raise CheckpointError(f"{path}: {len(reader.raw) - reader.pos} trailing bytes")
-    return Checkpoint(config, step, params, opt_step, opt_avg, opt_avg_sq)
+    return Checkpoint(config, step, params, opt_avg, opt_avg_sq)
 
 
 def restore_model(snapshot: Checkpoint) -> UlMlpModel:

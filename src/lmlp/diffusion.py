@@ -120,9 +120,8 @@ def training_loss(model, x0: np.ndarray, text_ids: np.ndarray, sched: NoiseSched
     keep = rng.random(batch) < caption_keep_prob
     ids = np.where(keep[:, None], text_ids, dataset.NULL_ID)
     x_t = forward_noise(x0, t, eps, sched)
-    dtype = model.dtype if hasattr(model, "dtype") else np.float64
-    pred = model.forward(Tensor(x_t.astype(dtype)), ids, t)
-    diff = pred - Tensor(eps.astype(dtype))
+    pred = model.forward(Tensor(x_t.astype(model.dtype)), ids, t)
+    diff = pred - Tensor(eps.astype(model.dtype))
     return (diff * diff).mean()
 
 

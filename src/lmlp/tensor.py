@@ -1,6 +1,8 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Values are numpy arrays (float64 by default, float32 for training runs).
+An op with several tensor operands needs them in one dtype and raises
+``UsageError`` on a mix; a number or array operand takes the tensor's dtype.
 Every differentiable operation hangs a graph node on the tensor it returns:
 a sequence number, its operands' nodes (or the requires-grad leaves
 themselves) and a vector-Jacobian callback. A node holds only what backward
@@ -345,6 +347,20 @@ def _as_tensor(value, dtype) -> Tensor:
     return Tensor(value, dtype=dtype)
 
 
+def _check_one_dtype(op: str, operands) -> None:
+    """An op computes in one dtype; it never promotes a float32 operand."""
+    dtypes = [t.dtype for t in operands]
+    if any(d != dtypes[0] for d in dtypes):
+        raise UsageError(f"{op} needs one dtype, got {', '.join(map(str, dtypes))}")
+
+
+def _check_axis(op: str, axis: int, ndim: int) -> int:
+    """``axis`` in [-ndim, ndim), as an index in [0, ndim)."""
+    if not -ndim <= axis < ndim:
+        raise ShapeError(f"{op} axis {axis} is out of range for rank {ndim}")
+    return axis % ndim
+
+
 def _recording(operands: tuple[Tensor, ...]) -> bool:
     """Whether an operation on ``operands`` is recorded."""
     return _STATE.grad_enabled and any(p.requires_grad for p in operands)
@@ -383,16 +399,18 @@ def _broadcastable(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return True
 
 
-def _elementwise_operands(a, b):
-    a = _as_tensor(a, None)
+def _elementwise_operands(a, b, op: str):
+    """Both operands as tensors; a number or array takes the other tensor's dtype."""
+    a = _as_tensor(a, b.dtype if isinstance(b, Tensor) else None)
     b = _as_tensor(b, a.dtype)
+    _check_one_dtype(op, (a, b))
     if not _broadcastable(a.shape, b.shape):
         raise ShapeError(f"elementwise shapes {a.shape} and {b.shape} do not align")
     return a, b
 
 
 def add(a, b) -> Tensor:
-    a, b = _elementwise_operands(a, b)
+    a, b = _elementwise_operands(a, b, "add")
     with np.errstate(over="ignore", invalid="ignore"):
         raw = a.data + b.data
     out = Tensor._make(raw, "add")
@@ -405,7 +423,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = _elementwise_operands(a, b)
+    a, b = _elementwise_operands(a, b, "sub")
     with np.errstate(over="ignore", invalid="ignore"):
         raw = a.data - b.data
     out = Tensor._make(raw, "sub")
@@ -418,7 +436,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = _elementwise_operands(a, b)
+    a, b = _elementwise_operands(a, b, "mul")
     with np.errstate(over="ignore", invalid="ignore"):
         raw = a.data * b.data
     out = Tensor._make(raw, "mul")
@@ -473,7 +491,8 @@ def matmul(x: Tensor, weight: Tensor, bias: Tensor, axis: int) -> Tensor:
         raise ShapeError(f"dense axis must be -1 or -2, got {axis}")
     if bias is None:
         raise UsageError("the dense form needs a bias")
-    x = _as_tensor(x, None)
+    x = _as_tensor(x, weight.dtype)
+    _check_one_dtype("matmul", (x, weight, bias))
     if weight.ndim != 2:
         raise ShapeError(f"dense weight must be rank 2, got {weight.shape}")
     out_dim, in_dim = weight.shape
@@ -489,7 +508,7 @@ def matmul(x: Tensor, weight: Tensor, bias: Tensor, axis: int) -> Tensor:
     # (row blocks and float64 ones were not), so the split changes no bit.
     if axis == -1:
         x_in = x.data.reshape(-1, in_dim)
-        y = np.empty((x_in.shape[0], out_dim), np.result_type(x_in, w))
+        y = np.empty((x_in.shape[0], out_dim), w.dtype)
         out_shape = x.shape[:-1] + (out_dim,)
         gemm_macs = x.size * out_dim
 
@@ -501,7 +520,7 @@ def matmul(x: Tensor, weight: Tensor, bias: Tensor, axis: int) -> Tensor:
     else:
         cols = x.shape[-1]
         x_in = x.data.reshape(-1, in_dim, cols)
-        y = np.empty((x_in.shape[0], out_dim, cols), np.result_type(x_in, w))
+        y = np.empty((x_in.shape[0], out_dim, cols), w.dtype)
         out_shape = x.shape[:-2] + (out_dim, cols)
         gemm_macs = in_dim * out_dim * cols
 
@@ -566,7 +585,8 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 def concat(parts: list[Tensor], axis: int) -> Tensor:
     if not parts:
         raise ShapeError("concat needs at least one tensor")
-    axis = axis % parts[0].ndim
+    axis = _check_axis("concat", axis, parts[0].ndim)
+    _check_one_dtype("concat", parts)
     base = list(parts[0].shape)
     for p in parts[1:]:
         other = list(p.shape)
@@ -592,7 +612,7 @@ def concat(parts: list[Tensor], axis: int) -> Tensor:
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     """Contiguous slice [start, start+length) along one axis."""
-    axis = axis % x.ndim
+    axis = _check_axis("narrow", axis, x.ndim)
     if start < 0 or length < 0 or start + length > x.shape[axis]:
         raise ShapeError(
             f"narrow [{start}:{start + length}) out of bounds for extent {x.shape[axis]}"
@@ -792,9 +812,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, axis: int = -1) -> Tensor:
         raise ShapeError("cannot normalize an empty extent")
     if x.ndim < -axis or x.shape[axis] != n:
         raise ShapeError(f"layer_norm expected extent {n} on axis {axis}, got {x.shape}")
-    if not x.dtype == gain.dtype == bias.dtype:
-        raise UsageError(f"layer_norm needs one dtype, got x {x.dtype}, gain "
-                         f"{gain.dtype} and bias {bias.dtype}")
+    _check_one_dtype("layer_norm", (x, gain, bias))
     average = np.full(n, 1.0 / n, dtype=x.dtype)
     affine_shape = (n,) if axis == -1 else (n, 1)
     gain_data = gain.data.reshape(affine_shape)
@@ -869,11 +887,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     batch, seq, dim = q.shape
     if heads < 1 or dim % heads:
         raise ShapeError(f"embed_dim {dim} does not split into {heads} heads")
+    _check_one_dtype("attention", (q, k, v))
     q_h, k_h, v_h = (_split_heads(t.data, heads) for t in (q, k, v))
     scale = np.asarray(1.0 / math.sqrt(dim // heads), dtype=q.dtype)
     macs = 2 * batch * seq * seq * dim
     _note_macs(macs)
-    weights = np.empty((batch, heads, seq, seq), np.result_type(q.data, k.data))
+    weights = np.empty((batch, heads, seq, seq), q.dtype)
     y = np.empty_like(q.data)
     y_h = _split_heads(y, heads)
 

@@ -74,8 +74,8 @@ def run_training(config: RunConfig, resume: str | None = None) -> TrainResult:
         start_step = 0
     optimizer = AdamW(list(model.named_parameters()), betas=(config.beta1, config.beta2),
                       weight_decay=config.weight_decay)
-    if snapshot is not None and snapshot.opt_step is not None:
-        optimizer.load_state(snapshot.opt_step, snapshot.opt_exp_avg, snapshot.opt_exp_avg_sq)
+    if snapshot is not None:
+        optimizer.load_state(snapshot.step, snapshot.opt_exp_avg, snapshot.opt_exp_avg_sq)
 
     images, captions = generate_arrays(config.dataset_config(), config.num_samples)
     x0_all = (2.0 * images - 1.0).astype(np.float32)
@@ -93,8 +93,7 @@ def run_training(config: RunConfig, resume: str | None = None) -> TrainResult:
             print(LOG_HEADER, file=log)
         if start_step == config.train_steps:
             # nothing to train: still leave the final checkpoint the result names
-            save_checkpoint(out_dir / checkpoint_name(start_step), config, model,
-                            start_step, optimizer)
+            save_checkpoint(out_dir / checkpoint_name(start_step), config, optimizer)
         for step in range(start_step, config.train_steps):
             rng = np.random.default_rng((config.seed, step))
             optimizer.zero_grad()
@@ -114,8 +113,7 @@ def run_training(config: RunConfig, resume: str | None = None) -> TrainResult:
             print(f"{step},{step_loss!r}", file=log)
             done = step + 1
             if done % config.checkpoint_every == 0 or done == config.train_steps:
-                save_checkpoint(out_dir / checkpoint_name(done), config, model,
-                                done, optimizer)
+                save_checkpoint(out_dir / checkpoint_name(done), config, optimizer)
     final = out_dir / checkpoint_name(config.train_steps)
     return TrainResult(final_checkpoint=final, log_path=log_path, losses=losses)
 

@@ -232,14 +232,15 @@ def test_criterion_08_persistence(tmp_path):
         p.data[...] = rng.standard_normal(p.shape).astype(np.float32)
         m[...] = rng.standard_normal(p.shape).astype(np.float32)
         v[...] = np.abs(rng.standard_normal(p.shape)).astype(np.float32)
+    optimizer.step_count = 3
     path = tmp_path / "model.lmlp"
-    save_checkpoint(path, config, model, step=3, optimizer=optimizer)
+    save_checkpoint(path, config, optimizer)
     snapshot = load_checkpoint(path)
     restored = restore_model(snapshot)
     for (name, p), (_, q) in zip(model.named_parameters(), restored.named_parameters()):
         assert np.array_equal(p.data, q.data), name
     opt2 = AdamW(list(restored.named_parameters()), betas=(0.9, 0.9))
-    opt2.load_state(snapshot.opt_step, snapshot.opt_exp_avg, snapshot.opt_exp_avg_sq)
+    opt2.load_state(snapshot.step, snapshot.opt_exp_avg, snapshot.opt_exp_avg_sq)
     for m, m2 in zip(optimizer.exp_avg, opt2.exp_avg):
         assert np.array_equal(m, m2)
 

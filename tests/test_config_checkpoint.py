@@ -1,3 +1,4 @@
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -167,9 +168,9 @@ class TestCheckpoint:
             p.data[...] = rng.standard_normal(p.shape).astype(np.float32)
             m[...] = rng.standard_normal(p.shape).astype(np.float32)
             v[...] = np.abs(rng.standard_normal(p.shape)).astype(np.float32)
-        optimizer.step_count = 17
+        optimizer.step_count = 123
         path = tmp_path / "model.lmlp"
-        save_checkpoint(path, config, model, step=123, optimizer=optimizer)
+        save_checkpoint(path, config, optimizer)
 
         snapshot = load_checkpoint(path)
         assert snapshot.step == 123
@@ -180,8 +181,8 @@ class TestCheckpoint:
             assert np.array_equal(p.data, q.data), name
             assert q.data.dtype == np.float32
         _, opt2 = self.build(config, restored)
-        opt2.load_state(snapshot.opt_step, snapshot.opt_exp_avg, snapshot.opt_exp_avg_sq)
-        assert opt2.step_count == 17
+        opt2.load_state(snapshot.step, snapshot.opt_exp_avg, snapshot.opt_exp_avg_sq)
+        assert opt2.step_count == 123
         for m, m2 in zip(optimizer.exp_avg, opt2.exp_avg):
             assert np.array_equal(m, m2)
         for v, v2 in zip(optimizer.exp_avg_sq, opt2.exp_avg_sq):
@@ -191,7 +192,7 @@ class TestCheckpoint:
         config = tiny_config()
         model, optimizer = self.build(config)
         path = tmp_path / "model.lmlp"
-        save_checkpoint(path, config, model, step=1, optimizer=optimizer)
+        save_checkpoint(path, config, optimizer)
         before = path.read_bytes()
         for _, p in model.named_parameters():
             p.data += 1.0
@@ -208,7 +209,7 @@ class TestCheckpoint:
 
         monkeypatch.setattr(checkpoint, "_write_array", fail_on_third_array)
         with pytest.raises(OSError, match="disk full"):
-            save_checkpoint(path, config, model, step=2, optimizer=optimizer)
+            save_checkpoint(path, config, optimizer)
         assert len(files_at_failure) == 2, "the write was not in progress"
         assert path.read_bytes() == before
         assert [f.name for f in tmp_path.iterdir()] == ["model.lmlp"]
@@ -217,13 +218,13 @@ class TestCheckpoint:
         config = tiny_config()
         model = build_model(config.backbone_config(), 0, dtype=np.float64)
         with pytest.raises(T.UsageError):
-            save_checkpoint(tmp_path / "bad.lmlp", config, model, 0)
+            save_checkpoint(tmp_path / "bad.lmlp", config, AdamW(list(model.named_parameters())))
 
     def test_magic_bytes(self, tmp_path):
         config = tiny_config()
-        model, _ = self.build(config)
+        _, optimizer = self.build(config)
         path = tmp_path / "m.lmlp"
-        save_checkpoint(path, config, model, 0)
+        save_checkpoint(path, config, optimizer)
         assert path.read_bytes()[:4] == b"LMLP"
 
     def test_corrupt_file_rejected(self, tmp_path):
@@ -234,9 +235,9 @@ class TestCheckpoint:
 
     def test_truncated_file_rejected(self, tmp_path):
         config = tiny_config()
-        model, _ = self.build(config)
+        _, optimizer = self.build(config)
         path = tmp_path / "m.lmlp"
-        save_checkpoint(path, config, model, 0)
+        save_checkpoint(path, config, optimizer)
         (tmp_path / "cut.lmlp").write_bytes(path.read_bytes()[:100])
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "cut.lmlp")
@@ -249,9 +250,8 @@ class TestCheckpoint:
         model, _ = self.build(config)
         named = list(model.named_parameters())[::-1]
         optimizer = AdamW(named)
-        model.named_parameters = lambda: iter(named)
         path = tmp_path / "reversed.lmlp"
-        save_checkpoint(path, config, model, 0, optimizer=optimizer)
+        save_checkpoint(path, config, optimizer)
         snapshot = load_checkpoint(path)
         assert list(snapshot.params) == [name for name, _ in named]
         with pytest.raises(CheckpointError, match=r"order \(names on one side only: \[\]\)"):
@@ -259,9 +259,9 @@ class TestCheckpoint:
 
     def test_records_of_another_model_are_refused(self, tmp_path):
         config = tiny_config()
-        model, _ = self.build(config)
+        _, optimizer = self.build(config)
         path = tmp_path / "m.lmlp"
-        save_checkpoint(path, config, model, 0)
+        save_checkpoint(path, config, optimizer)
         snapshot = load_checkpoint(path)
         snapshot.params = {name.replace("head.", "tail."): value
                            for name, value in snapshot.params.items()}
@@ -279,13 +279,40 @@ def test_golden_checkpoint_loads_restores_and_resaves_bitwise(tmp_path, tag):
     the restored model with its loaded AdamW state gives the same bytes."""
     path = GOLDEN_DIR / f"golden_{tag}.lmlp"
     snapshot = load_checkpoint(path)
-    assert snapshot.step == 2 and snapshot.opt_step == 2
+    assert snapshot.step == 2
     model = restore_model(snapshot)
     optimizer = AdamW(list(model.named_parameters()))
-    optimizer.load_state(snapshot.opt_step, snapshot.opt_exp_avg, snapshot.opt_exp_avg_sq)
+    optimizer.load_state(snapshot.step, snapshot.opt_exp_avg, snapshot.opt_exp_avg_sq)
     out = tmp_path / path.name
-    save_checkpoint(out, snapshot.config, model, snapshot.step, optimizer)
+    save_checkpoint(out, snapshot.config, optimizer)
     assert out.read_bytes() == path.read_bytes()
+
+
+def _no_moments(raw, flag_at):
+    return raw[:flag_at] + b"\x00"  # what a save without an optimizer wrote
+
+
+def _flag_0(raw, flag_at):
+    return raw[:flag_at] + b"\x00" + raw[flag_at + 1:]
+
+
+def _count_not_step(raw, flag_at):
+    return raw[:flag_at + 1] + struct.pack("<Q", 3) + raw[flag_at + 9:]
+
+
+@pytest.mark.parametrize("corrupt", [_no_moments, _flag_0, _count_not_step],
+                         ids=["no-moments", "flag-0", "count-not-step"])
+def test_golden_checkpoint_without_its_step_moments_is_refused(tmp_path, corrupt):
+    """A resume from a file without moments, or with moments of another
+    update count, would drift from the uninterrupted run, so it does not load."""
+    path = GOLDEN_DIR / "golden_f2.lmlp"
+    raw = path.read_bytes()
+    # the u8 flag and u64 count precede two float32 moments per parameter value
+    moments = 8 * sum(p.size for p in load_checkpoint(path).params.values())
+    bad = tmp_path / "bad.lmlp"
+    bad.write_bytes(corrupt(raw, len(raw) - moments - 9))
+    with pytest.raises(CheckpointError, match="bad.lmlp"):
+        load_checkpoint(bad)
 
 
 def _bad_utf8_config(raw, name):
@@ -340,7 +367,7 @@ class TestMalformedCheckpoint:
         config = tiny_config()
         model = build_model(config.backbone_config(), config.seed, dtype=np.float32)
         path = tmp_path / "m.lmlp"
-        save_checkpoint(path, config, model, 0)
+        save_checkpoint(path, config, AdamW(list(model.named_parameters())))
         name = next(model.named_parameters())[0].encode()
         bad = tmp_path / "bad.lmlp"
         bad.write_bytes(corrupt(path.read_bytes(), name))
@@ -356,7 +383,7 @@ class TestMalformedCheckpoint:
         config = tiny_config()
         model = build_model(config.backbone_config(), config.seed, dtype=np.float32)
         path = tmp_path / "m.lmlp"
-        save_checkpoint(path, config, model, 0)
+        save_checkpoint(path, config, AdamW(list(model.named_parameters())))
         bad = tmp_path / "bad.lmlp"
         bad.write_bytes(_config_text(old, new)(path.read_bytes(), None))
         with pytest.raises(CheckpointError, match=f"bad embedded config: {key}|{key} "):
@@ -368,6 +395,6 @@ class TestMalformedCheckpoint:
         optimizer = AdamW(list(model.named_parameters()))
         optimizer.exp_avg_sq[-1][...] = np.inf
         path = tmp_path / "m.lmlp"
-        save_checkpoint(path, config, model, 0, optimizer=optimizer)
+        save_checkpoint(path, config, optimizer)
         with pytest.raises(CheckpointError, match="second moment"):
             load_checkpoint(path)

@@ -562,6 +562,19 @@ class TestShapeOps:
         with pytest.raises(T.ShapeError):
             T.narrow(rand((2, 3), 65), 1, 2, 5)
 
+    @pytest.mark.parametrize("run", [
+        lambda x: T.narrow(x, 3, 0, 1), lambda x: T.narrow(x, 5, 0, 2),
+        lambda x: T.narrow(x, -4, 0, 1), lambda x: T.concat([x, x], 3),
+        lambda x: T.concat([x, x], -5),
+    ], ids=["narrow-3", "narrow-5", "narrow-minus-4", "concat-3", "concat-minus-5"])
+    def test_axis_outside_the_rank_rejected(self, run):
+        """An axis in [-ndim, ndim) is one of x's; any other is refused, not wrapped."""
+        x = rand((2, 3, 4), 66)
+        assert T.concat([x, x], -3).shape == (4, 3, 4)
+        assert T.narrow(x, -3, 1, 1).shape == (1, 3, 4)
+        with pytest.raises(T.ShapeError, match="axis"):
+            run(x)
+
     def test_gather_rows_lookup_and_scatter(self):
         table = rand((5, 4), 67, requires_grad=True)
         ids = np.array([[0, 2], [2, 4]])
@@ -621,6 +634,28 @@ class TestEngineInvariants:
             warnings.simplefilter("error")
             with pytest.raises(T.NonFiniteError, match=message):
                 run()
+
+    @pytest.mark.parametrize("op, run", [
+        ("add", lambda a, b: T.add(a, b)),
+        ("sub", lambda a, b: T.sub(b, a)),
+        ("mul", lambda a, b: T.mul(a, b)),
+        ("matmul", lambda a, b: T.matmul(a, T.Tensor(np.ones((3, 4))),
+                                         T.Tensor(np.zeros(3)), -1)),
+        ("attention", lambda a, b: T.attention(a, b, b, 1)),
+        ("concat", lambda a, b: T.concat([a, b], 0)),
+    ], ids=["add", "sub", "mul", "matmul", "attention", "concat"])
+    def test_mixed_dtypes_are_refused(self, op, run):
+        """No op promotes a float32 operand to float64."""
+        x32 = f32(np.ones((1, 2, 4)), requires_grad=True)
+        x64 = T.Tensor(np.ones((1, 2, 4)))
+        with pytest.raises(T.UsageError, match=f"{op} needs one dtype"):
+            run(x32, x64)
+
+    def test_number_and_array_operands_take_the_tensor_dtype(self):
+        x = f32([1.0, 2.0])
+        for out in (2.0 * x, x - 1.0, x + np.ones(2), T.mul(0.5, x),
+                    T.matmul(np.ones((1, 2)), f32(np.ones((3, 2))), f32(np.zeros(3)), -1)):
+            assert out.dtype == np.float32
 
     def test_mac_counter_counts_matmul_contractions(self):
         w, b = dense_params(2, 5, 71)
