@@ -18,16 +18,25 @@ chosen axis, ``layer_norm`` normalizes one chosen axis, and ``attention`` is
 a whole multi-head softmax attention. Each is one recorded node and copies
 no operand into a permuted layout.
 
-The engine refuses to propagate NaN/Inf: any operation whose result is
-non-finite raises ``NonFiniteError`` instead of returning garbage.
+The engine refuses to propagate NaN/Inf: by default any operation whose
+result is non-finite raises ``NonFiniteError`` naming the op. The training
+loop and the sampler switch these per-op checks off for the body of each
+step (``_unchecked``) and check once where the step ends: the loss and the
+flat gradient, or the new sampler state. When that check fails, they run
+the step again with the checks on, which raises the op-named error. Inside
+those loops a non-finite value that reaches neither the loss, nor a
+gradient, nor the sampler state is therefore no error: in training almost
+every forward value is read by some vjp, where 0 * inf = NaN, but the
+tokens that ``narrow`` drops before the sampler's head are such a value.
 
-Grad mode (``no_grad``) and MAC counters (``count_macs``) are per thread.
-Five kinds of op may run as two halves: one on the calling thread and one
-on a single worker thread, which only calls numpy. That happens only when
-the process may run on two CPUs and numpy's OpenBLAS runs on one thread
-(``OPENBLAS_NUM_THREADS=1``): an OpenBLAS with threads of its own already
-uses the second core, and splitting on top of it was slower. The split ops
-and their halves, float32 except attention, which splits in float64 too:
+Grad mode (``no_grad``), the finiteness checks and MAC counters
+(``count_macs``) are per thread. Five kinds of op may run as two halves:
+one on the calling thread and one on a single worker thread, which only
+calls numpy. That happens only when the process may run on two CPUs and
+numpy's OpenBLAS runs on one thread (``OPENBLAS_NUM_THREADS=1``): an
+OpenBLAS with threads of its own already uses the second core, and
+splitting on top of it was slower. The split ops and their halves,
+float32 except attention, which splits in float64 too:
 
 - ``matmul`` of at least 2^25 MACs in one GEMM: output-column blocks;
 - ``attention`` of at least two heads and 2^25 MACs: head ranges;
@@ -38,10 +47,11 @@ and their halves, float32 except attention, which splits in float64 too:
   before the narrowed axis.
 
 The results are bitwise those of the serial op. Each half does its op's
-whole job on its part, bias add and finiteness check included. Desk-scale
-ops stay below every size, desk attention has one head, and the backward
-ops always run serially. Importing the module starts no thread; the worker
-starts with the first split op.
+whole job on its part, bias add and finiteness check included, and the
+worker's half runs under the calling thread's numpy error state and
+finiteness checks. Desk-scale ops stay below every size, desk attention
+has one head, and the backward ops always run serially. Importing the
+module starts no thread; the worker starts with the first split op.
 """
 
 from __future__ import annotations
@@ -80,10 +90,12 @@ _SEQUENCE = itertools.count()
 
 
 class _ThreadState(threading.local):
-    """Grad mode and open MAC counters: each thread sets and sees its own."""
+    """Grad mode, finiteness checks and open MAC counters: each thread sets
+    and sees its own."""
 
     def __init__(self):
         self.grad_enabled = True
+        self.checks = True
         self.mac_counters: list[MacCounter] = []
 
 
@@ -126,8 +138,24 @@ def _note_macs(n: int) -> None:
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    if not np.isfinite(arr).all():
+    if _STATE.checks and not np.isfinite(arr).all():
         raise NonFiniteError(f"{op} produced a non-finite value")
+
+
+# Not in __all__: the benchmark's tracer wraps every function listed there as an op.
+@contextmanager
+def _unchecked():
+    """Skip every op's finiteness check inside the block, in the calling
+    thread only, for a caller that checks what the block yields itself.
+    numpy passes overflow, invalid results and division by zero on silently,
+    so a non-finite value reaches that check, not a ``RuntimeWarning``."""
+    prev = _STATE.checks
+    _STATE.checks = False
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            yield
+    finally:
+        _STATE.checks = prev
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +226,11 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_worker)
 
 
-def _under_errstate(errors: dict, fn, *args) -> None:
-    # numpy's error state does not reach other threads
+def _as_caller(errors: dict, checks: bool, fn, *args) -> None:
+    """``fn(*args)`` under the calling thread's numpy error state and
+    finiteness checks, neither of which reaches other threads by itself;
+    every job on the worker sets both."""
+    _STATE.checks = checks
     with np.errstate(**errors):
         fn(*args)
 
@@ -224,7 +255,7 @@ def _by_halves(fn, n: int, large: bool, align: int = 1) -> None:
         fn(0, n)
         return
     half = n // 2 // align * align
-    future = _split_worker().submit(_under_errstate, np.geterr(), fn, half, n)
+    future = _split_worker().submit(_as_caller, np.geterr(), _STATE.checks, fn, half, n)
     try:
         fn(0, half)
     finally:

@@ -10,11 +10,13 @@ resumed (or restarted) over an earlier log writes each step once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import tensor as T
 from .backbone import build_model
 from .checkpoint import atomic_open, load_checkpoint, restore_model, save_checkpoint
 from .config import SECTIONS, ConfigError, RunConfig
@@ -51,8 +53,36 @@ def _truncate_log(log_path: Path, step: int) -> None:
             out.write("".join(lines[:1] + kept).encode())
 
 
+def _step_gradient(model, optimizer: AdamW, config: RunConfig, x0_all: np.ndarray,
+                   captions: np.ndarray, sched, step: int) -> float:
+    """Accumulate step ``step``'s gradient, from zero, over its micro-batches
+    into ``optimizer.grad``; returns the step's mean loss."""
+    rng = np.random.default_rng((config.seed, step))
+    optimizer.zero_grad()
+    step_loss = 0.0
+    for _ in range(config.grad_accumulation):
+        batch_idx = rng.integers(0, config.num_samples, size=config.batch_size)
+        loss = training_loss(model, x0_all[batch_idx], captions[batch_idx],
+                             sched, config.caption_keep_prob, rng)
+        loss.backward()
+        step_loss += loss.item()
+        del loss  # frees this micro-batch's graph before the next forward
+    if config.grad_accumulation > 1:
+        optimizer.grad /= config.grad_accumulation
+    return step_loss / config.grad_accumulation
+
+
 def run_training(config: RunConfig, resume: str | None = None) -> TrainResult:
-    """Train per the config; write loss log and periodic checkpoints to out_dir."""
+    """Train per the config; write loss log and periodic checkpoints to out_dir.
+
+    Each step's micro-batches run without the engine's per-op finiteness
+    checks, and the step's loss and flat gradient are checked once, before
+    its log row and update. When either is non-finite, the step runs again
+    from a zeroed gradient and its own generator with the checks on, which
+    raises the op-named ``NonFiniteError``; parameters, moments, log and
+    checkpoints stay as the previous step left them. A non-finite forward
+    value that no vjp reads and the loss does not reach is no error.
+    """
     sched = config.noise_schedule()
 
     if resume is not None:
@@ -95,20 +125,14 @@ def run_training(config: RunConfig, resume: str | None = None) -> TrainResult:
             # nothing to train: still leave the final checkpoint the result names
             save_checkpoint(out_dir / checkpoint_name(start_step), config, optimizer)
         for step in range(start_step, config.train_steps):
-            rng = np.random.default_rng((config.seed, step))
-            optimizer.zero_grad()
-            step_loss = 0.0
-            for _ in range(config.grad_accumulation):
-                batch_idx = rng.integers(0, config.num_samples, size=config.batch_size)
-                loss = training_loss(model, x0_all[batch_idx], captions[batch_idx],
-                                     sched, config.caption_keep_prob, rng)
-                loss.backward()
-                step_loss += loss.item()
-                del loss  # frees this micro-batch's graph before the next forward
-            if config.grad_accumulation > 1:
-                optimizer.grad /= config.grad_accumulation
+            step_args = (model, optimizer, config, x0_all, captions, sched, step)
+            with T._unchecked():
+                step_loss = _step_gradient(*step_args)
+            if not (math.isfinite(step_loss) and np.isfinite(optimizer.grad).all()):
+                _step_gradient(*step_args)  # checked: raises the op-named error
+                raise T.NonFiniteError(f"training step {step} produced a non-finite "
+                                       "loss or gradient")
             optimizer.step(warmup_lr(config.learning_rate, step, config.warmup_steps))
-            step_loss /= config.grad_accumulation
             losses.append(step_loss)
             print(f"{step},{step_loss!r}", file=log)
             done = step + 1

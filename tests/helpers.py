@@ -50,3 +50,17 @@ def check_gradients(loss_fn, params, step: float = 1e-5, tol: float = 1e-4) -> f
         worst = max(worst, err)
         assert err <= tol, f"gradient mismatch: rel error {err:.3e} > {tol}"
     return worst
+
+
+def count_isfinite(monkeypatch) -> list[int]:
+    """Count calls of ``np.isfinite``, which every full-array finiteness
+    check in lmlp makes; the returned one-element list holds the count."""
+    calls = [0]
+    isfinite = np.isfinite
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return isfinite(*args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counted)
+    return calls

@@ -20,6 +20,7 @@ from lmlp.config import (
     serialize_config,
 )
 from lmlp.optim import AdamW, warmup_lr
+from lmlp.train import checkpoint_name, run_training
 
 
 def tiny_config(**overrides):
@@ -286,6 +287,19 @@ def test_golden_checkpoint_loads_restores_and_resaves_bitwise(tmp_path, tag):
     out = tmp_path / path.name
     save_checkpoint(out, snapshot.config, optimizer)
     assert out.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("tag", ["f2", "a3", "transformer", "b2_conv"])
+def test_retraining_a_golden_config_writes_the_golden_file(tmp_path, monkeypatch, tag):
+    """Training numerics are pinned to files an earlier version wrote: the
+    config embedded in each golden file, retrained from scratch, writes the
+    same bytes. Its out_dir is relative, so the run writes under tmp_path."""
+    path = GOLDEN_DIR / f"golden_{tag}.lmlp"
+    config = load_checkpoint(path).config
+    monkeypatch.chdir(tmp_path)
+    result = run_training(config)
+    assert result.final_checkpoint == Path(config.out_dir) / checkpoint_name(2)
+    assert result.final_checkpoint.read_bytes() == path.read_bytes()
 
 
 def _no_moments(raw, flag_at):

@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import check_gradients
-from lmlp import tensor as T
+from helpers import check_gradients, count_isfinite
+from lmlp import diffusion, tensor as T
 from lmlp.backbone import BackboneConfig, build_model
 from lmlp.config import RunConfig
 from lmlp.diffusion import (
@@ -25,12 +25,12 @@ def sched():
     return NoiseSchedule()
 
 
-def desk_model(seed=0, **overrides):
+def desk_model(seed=0, dtype=np.float64, **overrides):
     base = dict(image_side=4, in_channels=1, patch=2, embed_dim=8, depth=2,
                 text_tokens=2, vocab_size=6, preset="F2", mlp_scale=2.0,
                 skip_mode="second_stage", num_timesteps=1000)
     base.update(overrides)
-    return build_model(BackboneConfig(**base), seed)
+    return build_model(BackboneConfig(**base), seed, dtype)
 
 
 class StubModel:
@@ -344,3 +344,30 @@ class TestSampler:
         with pytest.raises(SamplingDiverged) as info:
             sample(model, np.zeros((1, 2), dtype=int), sched, SamplerConfig(50), 0.0, 3)
         assert info.value.step > 0
+
+    def test_overflowing_weight_names_the_op(self, sched):
+        model = desk_model(seed=34, dtype=np.float32)
+        dict(model.named_parameters())["blocks.0.fnn_c.fc1.weight"].data[0, 0] = 3e38
+        with pytest.raises(SamplingDiverged, match=r"^sampling diverged at step 0 \(t=999\)$") as info:
+            sample(model, np.array([[1, 2]]), sched, SamplerConfig(5), 1.0, 0)
+        assert isinstance(info.value.__cause__, T.NonFiniteError)
+        assert str(info.value.__cause__) == "matmul produced a non-finite value"
+        assert T._STATE.checks
+
+    def test_guided_desk_step_checks_finiteness_once(self, sched, monkeypatch):
+        """A guided step at desk scale (F2, L=21, D=64, 30 captions) checks
+        the new state, not each op's result: np.isfinite, which every
+        full-array check calls, runs once per step, where the per-op checks
+        ran it 154 times."""
+        model = build_model(RunConfig().backbone_config(), 35, dtype=np.float32)
+        calls, stamps = count_isfinite(monkeypatch), []
+
+        def stamped(*args):
+            stamps.append(calls[0])
+            return cfg_eps(*args)
+
+        monkeypatch.setattr(diffusion, "cfg_eps", stamped)
+        ids = np.arange(30 * 4).reshape(30, 4) % 8
+        sample(model, ids, sched, SamplerConfig(5), 1.0, 0)
+        per_step = np.diff(stamps)
+        assert (per_step == per_step[0]).all() and per_step[0] <= 1, per_step

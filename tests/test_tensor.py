@@ -671,7 +671,8 @@ class TestEngineInvariants:
 
 
 class TestThreadState:
-    """Grad mode and MAC counters belong to the thread that set them."""
+    """Grad mode, finiteness checks and MAC counters belong to the thread
+    that set them."""
 
     def test_no_grad_in_another_thread_leaves_recording_on(self):
         entered, release = threading.Event(), threading.Event()
@@ -708,6 +709,32 @@ class TestThreadState:
         assert not thread.is_alive()
         assert totals == [3 * 5 * 2]
         assert counter.total == 0
+
+    def test_unchecked_passes_non_finite_values_on_silently(self):
+        x = f32([3e38, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with T._unchecked():
+                product = T.mul(x, x).data
+                bare = x.data * x.data  # warns outside, under numpy's default errstate
+        assert np.isinf(product[0]) and np.isinf(bare[0])
+        with pytest.raises(T.NonFiniteError, match="^mul produced a non-finite value$"):
+            T.mul(x, x)
+
+    def test_unchecked_is_per_thread_and_ends_with_an_error(self):
+        errors = np.geterr()
+        seen = []
+        with pytest.raises(ZeroDivisionError):
+            with T._unchecked():
+                thread = threading.Thread(target=lambda: seen.append(T._STATE.checks))
+                thread.start()
+                thread.join(30)
+                1 / 0
+        assert not thread.is_alive()
+        assert seen == [True]
+        assert T._STATE.checks and np.geterr() == errors
+        with pytest.raises(T.NonFiniteError):
+            T.Tensor([np.nan])
 
 
 def force_split(monkeypatch, on):
@@ -801,6 +828,19 @@ class TestSplit:
             warnings.simplefilter("error")
             with pytest.raises(T.NonFiniteError, match="matmul produced"):
                 T.matmul(x, w, f32(np.zeros(2048)), -1)
+
+    def test_workers_half_follows_the_callers_checks(self, monkeypatch):
+        asked = force_split(monkeypatch, True)
+        x = f32(np.zeros(T._SPLIT_MIN_ELEMENTS))
+        x.data[-1] = np.nan  # in the half [n // 2, n) that the worker runs
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with T._unchecked():
+                out = T.gelu(x).data
+            with pytest.raises(T.NonFiniteError, match="gelu produced a non-finite value"):
+                T.gelu(x)
+        assert len(asked) == 2
+        assert np.isnan(out[-1]) and (out[:-1] == 0).all()
 
     def test_mac_count_is_the_serial_one(self, monkeypatch):
         rng = np.random.default_rng(82)

@@ -6,9 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lmlp.checkpoint import load_checkpoint
+from helpers import count_isfinite
+from lmlp import tensor as T, train
+from lmlp.checkpoint import load_checkpoint, restore_model, save_checkpoint
 from lmlp.config import ConfigError, RunConfig
-from lmlp.train import LOG_HEADER, checkpoint_name, run_training
+from lmlp.optim import AdamW
+from lmlp.train import LOG_HEADER, LOG_NAME, checkpoint_name, run_training
 
 
 def tiny_config(out_dir, **overrides):
@@ -98,6 +101,56 @@ class TestTraining:
         snapshot = load_checkpoint(result.final_checkpoint)
         assert snapshot.config == config
         assert snapshot.step == config.train_steps
+
+
+class TestNonFiniteStep:
+    """A step whose loss or gradient is non-finite raises the error of the op
+    that made it non-finite, and leaves the run as the step before left it."""
+
+    @pytest.mark.parametrize("grad_accumulation", [1, 2])
+    def test_overflowing_weight_names_the_op_and_changes_nothing(self, tmp_path, monkeypatch,
+                                                                 grad_accumulation):
+        run_dir = tmp_path / "run"
+        config = tiny_config(run_dir, train_steps=2, checkpoint_every=1,
+                             grad_accumulation=grad_accumulation)
+        run_training(config)
+        snapshot = load_checkpoint(run_dir / checkpoint_name(2))
+        poisoned = AdamW(list(restore_model(snapshot).named_parameters()))
+        poisoned.load_state(snapshot.step, snapshot.opt_exp_avg, snapshot.opt_exp_avg_sq)
+        poisoned.params[poisoned.names.index("blocks.0.fnn_c.fc1.weight")].data[0, 0] = 3e38
+        save_checkpoint(tmp_path / "poisoned.lmlp", config, poisoned)
+        log = (run_dir / LOG_NAME).read_text()
+        built = []
+        monkeypatch.setattr(train, "AdamW", lambda *args, **kwargs: built.append(
+            AdamW(*args, **kwargs)) or built[-1])
+
+        with pytest.raises(T.NonFiniteError, match="^matmul produced a non-finite value$"):
+            run_training(tiny_config(run_dir, train_steps=3, checkpoint_every=1,
+                                     grad_accumulation=grad_accumulation),
+                         resume=tmp_path / "poisoned.lmlp")
+        optimizer, = built
+        assert optimizer.step_count == 2
+        for name in ("flat", "m", "v"):
+            assert np.array_equal(getattr(optimizer, name), getattr(poisoned, name)), name
+        assert (run_dir / LOG_NAME).read_text() == log
+        assert not (run_dir / checkpoint_name(3)).exists()
+        assert T._STATE.checks
+
+    def test_desk_step_checks_finiteness_once(self, tmp_path, monkeypatch):
+        """An F2 desk step (B=32, L=21, D=64) checks the loss and flat
+        gradient, not each op's result: np.isfinite, which every full-array
+        check calls, runs once per step, where the per-op checks ran it 286
+        times."""
+        calls, stamps, step = count_isfinite(monkeypatch), [], AdamW.step
+
+        def stamped(self, lr):
+            stamps.append(calls[0])
+            step(self, lr)
+
+        monkeypatch.setattr(AdamW, "step", stamped)
+        run_training(RunConfig(train_steps=4, num_samples=64, out_dir=str(tmp_path)))
+        per_step = np.diff(stamps)
+        assert (per_step == per_step[0]).all() and per_step[0] <= 2, per_step
 
 
 class TestResumeConfig:
