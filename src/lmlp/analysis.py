@@ -20,10 +20,6 @@ SIDES = ("left", "right")
 REGION_NAMES = ("text_to_text", "image_to_text", "text_to_image", "image_to_image")
 
 
-class UnsupportedLayerError(ValueError):
-    """The requested layer does not expose first-stage branch weights."""
-
-
 @dataclass
 class WeightMap:
     """2-d weight matrix with provenance and optional token-region boundaries.
@@ -47,8 +43,8 @@ def extract_first_stage(model, layer: int, side: str) -> WeightMap:
         raise T.UsageError(f"layer {layer} out of range [0, {len(model.blocks)})")
     block = model.blocks[layer]
     if not isinstance(block, LmlpBlock):
-        raise UnsupportedLayerError(f"layer {layer} is a {type(block).__name__}, "
-                                    "not a two-branch block")
+        raise T.UsageError(f"layer {layer} is a {type(block).__name__}, "
+                           "not a two-branch block")
     if side == "left":
         return WeightMap(block.fnn_l.weight.data.copy(), "left", layer,
                          boundaries=model.config.token_boundaries)
@@ -113,7 +109,6 @@ def export_map(wmap: WeightMap, path, fmt: str, mark_boundaries: bool = False) -
 __all__ = [
     "REGION_NAMES",
     "SIDES",
-    "UnsupportedLayerError",
     "WeightMap",
     "export_map",
     "extract_first_stage",

@@ -18,7 +18,6 @@ from .blocks import (
     LayerNorm,
     LinearLayer,
     Module,
-    UnsupportedBlockError,
     make_block,
     preset_config,
     trunc_normal,
@@ -28,10 +27,6 @@ from .tensor import Tensor
 
 SKIP_MODES = ("none", "first_stage", "second_stage")
 HEAD_KINDS = ("linear", "conv3x3_postprocess")
-
-
-class ConfigError(ValueError):
-    """Malformed or inconsistent configuration; the message names the key."""
 
 
 # ---------------------------------------------------------------------------
@@ -112,25 +107,22 @@ class BackboneConfig:
 
     def __post_init__(self) -> None:
         if self.patch < 1 or self.image_side % self.patch:
-            raise ConfigError(f"image_side {self.image_side} not divisible by patch {self.patch}")
+            raise T.UsageError(f"image_side {self.image_side} not divisible by patch {self.patch}")
         if self.embed_dim < 2 or self.embed_dim % 2:
-            raise ConfigError("embed_dim must be even (sinusoidal time encoding)")
+            raise T.UsageError("embed_dim must be even (sinusoidal time encoding)")
         if self.depth < 1:
-            raise ConfigError("depth must be at least 1")
+            raise T.UsageError("depth must be at least 1")
         if self.skip_mode not in SKIP_MODES:
-            raise ConfigError(f"unknown skip_mode {self.skip_mode!r}")
+            raise T.UsageError(f"unknown skip_mode {self.skip_mode!r}")
         if self.skip_mode != "none" and self.depth < 2:
-            raise ConfigError("skip connections need depth >= 2")
+            raise T.UsageError("skip connections need depth >= 2")
         if self.head_kind not in HEAD_KINDS:
-            raise ConfigError(f"unknown head_kind {self.head_kind!r}")
+            raise T.UsageError(f"unknown head_kind {self.head_kind!r}")
         if self.text_tokens < 0 or self.in_channels < 1 or self.vocab_size < 1:
-            raise ConfigError("text_tokens, in_channels and vocab_size must be positive")
+            raise T.UsageError("text_tokens, in_channels and vocab_size must be positive")
         if self.num_timesteps < 1:
-            raise ConfigError("num_timesteps must be positive")
-        try:
-            preset_config(self.preset, self.seq_len, self.embed_dim, self.mlp_scale)
-        except UnsupportedBlockError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise T.UsageError("num_timesteps must be positive")
+        preset_config(self.preset, self.seq_len, self.embed_dim, self.mlp_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +252,6 @@ def build_model(config: BackboneConfig, seed: int, dtype=np.float64) -> UlMlpMod
 
 __all__ = [
     "BackboneConfig",
-    "ConfigError",
     "Embedding",
     "HEAD_KINDS",
     "SKIP_MODES",

@@ -21,10 +21,6 @@ from . import tensor as T
 from .tensor import Tensor
 
 
-class UnsupportedBlockError(ValueError):
-    """Requested design-axis combination is not part of the supported grid."""
-
-
 INIT_STD = 0.02
 INIT_CLIP = 2.0  # in units of sigma
 
@@ -153,62 +149,58 @@ class BlockConfig:
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
-            raise UnsupportedBlockError(f"unknown block kind {self.kind!r}")
+            raise T.UsageError(f"unknown block kind {self.kind!r}")
         if self.seq_len < 1 or self.embed_dim < 1:
-            raise UnsupportedBlockError("seq_len and embed_dim must be positive")
+            raise T.UsageError("seq_len and embed_dim must be positive")
         if self.kind == "lmlp":
             for axis, allowed in LMLP_AXIS_VALUES.items():
                 if getattr(self, axis) not in allowed:
-                    raise UnsupportedBlockError(f"unknown {axis.replace('_', ' ')} "
-                                                f"{getattr(self, axis)!r}")
+                    raise T.UsageError(f"unknown {axis.replace('_', ' ')} "
+                                       f"{getattr(self, axis)!r}")
             if self.merge_op == "glu" and self.merge_projection == "none":
-                raise UnsupportedBlockError("glu merge requires the merge projection")
+                raise T.UsageError("glu merge requires the merge projection")
         if not 0 < self.mlp_scale < np.inf:
-            raise UnsupportedBlockError("mlp_scale must be a positive finite number")
+            raise T.UsageError("mlp_scale must be a positive finite number")
         try:
             mlp_hidden(self.embed_dim, self.mlp_scale)
         except OverflowError:
-            raise UnsupportedBlockError(f"mlp_scale {self.mlp_scale!r} gives no finite "
-                                        f"hidden width at embed_dim {self.embed_dim}") from None
+            raise T.UsageError(f"mlp_scale {self.mlp_scale!r} gives no finite "
+                               f"hidden width at embed_dim {self.embed_dim}") from None
         if self.kind == "transformer" and self.embed_dim % self.heads:
-            raise UnsupportedBlockError(f"embed_dim {self.embed_dim} not divisible into "
-                                        f"{self.heads} heads")
+            raise T.UsageError(f"embed_dim {self.embed_dim} not divisible into "
+                               f"{self.heads} heads")
 
 
-_LMLP_AXES = {
-    # (first_stage, left_activation, merge_op, merge_projection, second_stage)
-    "A1": ("one_layer_mlp", "none", "sum", "linear", "none"),
-    "B1": ("one_layer_mlp", "none", "product", "linear", "none"),
-    "B2": ("one_layer_mlp", "none", "glu", "linear", "none"),
-    "B3": ("one_layer_mlp", "none", "sum", "none", "none"),
-    "C1": ("one_layer_mlp", "none", "sum", "linear", "mlp"),
-    "D1": ("linear", "none", "product", "linear", "mlp"),
-    "D2": ("linear", "none", "sum", "linear", "mlp"),
-    "E1": ("linear", "gelu", "product", "linear", "mlp"),
-    "E2": ("linear", "gelu", "sum", "linear", "mlp"),
+# Each preset's BlockConfig fields after the sizes, in field order: kind, then
+# an lmlp block's (first_stage, left_activation, merge_op, merge_projection,
+# second_stage). The baselines keep the defaults of the lmlp axes.
+_PRESETS = {
+    "A1": ("lmlp", "one_layer_mlp", "none", "sum", "linear", "none"),
+    "B1": ("lmlp", "one_layer_mlp", "none", "product", "linear", "none"),
+    "B2": ("lmlp", "one_layer_mlp", "none", "glu", "linear", "none"),
+    "B3": ("lmlp", "one_layer_mlp", "none", "sum", "none", "none"),
+    "C1": ("lmlp", "one_layer_mlp", "none", "sum", "linear", "mlp"),
+    "D1": ("lmlp", "linear", "none", "product", "linear", "mlp"),
+    "D2": ("lmlp", "linear", "none", "sum", "linear", "mlp"),
+    "E1": ("lmlp", "linear", "gelu", "product", "linear", "mlp"),
+    "E2": ("lmlp", "linear", "gelu", "sum", "linear", "mlp"),
+    # The D2 block. The paper's F-variants differ in skip placement, depth and
+    # MLP scale, which the backbone keys skip_mode, depth and mlp_scale set.
+    "F2": ("lmlp", "linear", "none", "sum", "linear", "mlp"),
+    "A2": ("mixer",),
+    "A3": ("gmlp",),
+    "TRANSFORMER": ("transformer",),
 }
-# All three name the D2 block. The paper's F-variants differ in skip placement,
-# depth and MLP scale, which the backbone keys skip_mode, depth and mlp_scale
-# set; the preset name selects none of them.
-_ALIASES = {"F1": "D2", "F2": "D2", "F2-DEEP": "D2"}
-_BASELINES = {"A2": "mixer", "A3": "gmlp", "TRANSFORMER": "transformer"}
 
-PRESET_NAMES = tuple(_LMLP_AXES) + tuple(_ALIASES) + tuple(_BASELINES)
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset_config(name: str, seq_len: int, embed_dim: int, mlp_scale: float = 4.0) -> BlockConfig:
-    """BlockConfig for a named design-grid preset (topology only; sizes are args)."""
-    key = name.strip().upper().replace("_", "-")
-    key = _ALIASES.get(key, key)
-    if key in _BASELINES:
-        return BlockConfig(seq_len=seq_len, embed_dim=embed_dim, kind=_BASELINES[key],
-                           mlp_scale=mlp_scale)
-    if key not in _LMLP_AXES:
-        raise UnsupportedBlockError(f"unknown preset {name!r}")
-    first, act, merge, proj, second = _LMLP_AXES[key]
-    return BlockConfig(seq_len=seq_len, embed_dim=embed_dim, kind="lmlp",
-                       first_stage=first, left_activation=act, merge_op=merge,
-                       merge_projection=proj, second_stage=second, mlp_scale=mlp_scale)
+    """BlockConfig for a design-grid preset named exactly as in PRESET_NAMES
+    (topology only; sizes are args)."""
+    if name not in _PRESETS:
+        raise T.UsageError(f"unknown preset {name!r}")
+    return BlockConfig(seq_len, embed_dim, *_PRESETS[name], mlp_scale=mlp_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +384,6 @@ __all__ = [
     "Module",
     "PRESET_NAMES",
     "TransformerBlock",
-    "UnsupportedBlockError",
     "build_block",
     "make_block",
     "mlp_hidden",

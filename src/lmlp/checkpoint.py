@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .backbone import UlMlpModel, build_model
-from .config import ConfigError, RunConfig, parse_config, serialize_config
+from .config import RunConfig, parse_config, serialize_config
 from .optim import AdamW
 from .tensor import UsageError
 
@@ -135,7 +135,7 @@ def load_checkpoint(path) -> Checkpoint:
     config_len = reader.unpack("<I")
     try:
         config = parse_config(reader.text(config_len, "embedded config"))
-    except (ConfigError, UsageError) as exc:
+    except UsageError as exc:
         raise CheckpointError(f"{path}: bad embedded config: {exc}") from exc
     step = reader.unpack("<Q")
     count = reader.unpack("<I")

@@ -2,8 +2,8 @@
 
 Verbs: ``train``, ``sample``, ``bench``, ``inspect``, ``gen-data``. Exit
 codes: 0 success, 1 domain failure (I/O, numerical divergence, bad data),
-2 usage/config mistakes. Every failure prints a single-line diagnostic to
-stderr.
+2 a usage mistake (``tensor.UsageError``: a bad config value, argument or
+op call). Every failure prints a single-line diagnostic to stderr.
 """
 
 from __future__ import annotations
@@ -16,16 +16,14 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, pgm, tensor as T
-from .blocks import UnsupportedBlockError, build_block
+from .blocks import build_block
 from .checkpoint import CheckpointError, load_checkpoint, restore_model
 from .complexity import ANALYTIC_KINDS, analytic_cost, cost_table, measure, reference_rows
-from .config import ConfigError, RunConfig, apply_overrides, parse_config, serialize_config
+from .config import RunConfig, apply_overrides, parse_config, serialize_config
 from .dataset import ToyDatasetConfig, encode_caption, write_dataset
 from .diffusion import SamplerConfig, SamplingDiverged, sample as draw_samples
 from .train import run_training
 
-USAGE_ERRORS = (ConfigError, T.UsageError, UnsupportedBlockError,
-                analysis.UnsupportedLayerError)
 DOMAIN_ERRORS = (OSError, SamplingDiverged, T.NonFiniteError, T.ShapeError,
                  CheckpointError, ValueError)
 
@@ -267,7 +265,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except SystemExit:  # --help; a usage mistake raises UsageError instead
         return 0
-    except USAGE_ERRORS as exc:
+    except T.UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DOMAIN_ERRORS as exc:

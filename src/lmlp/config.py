@@ -9,9 +9,10 @@ import math
 from dataclasses import dataclass, fields
 
 from . import dataset
-from .backbone import BackboneConfig, ConfigError
+from .backbone import BackboneConfig
 from .diffusion import NoiseSchedule, SamplerConfig, check_beta_range
 from .optim import check_betas
+from .tensor import UsageError
 
 
 @dataclass(frozen=True)
@@ -57,14 +58,19 @@ class RunConfig:
     def __post_init__(self) -> None:
         for key in _FLOAT_KEYS:
             if not math.isfinite(getattr(self, key)):
-                raise ConfigError(f"{key} must be finite, got {getattr(self, key)!r}")
+                raise UsageError(f"{key} must be finite, got {getattr(self, key)!r}")
         for key, low in _INT_MINIMUMS.items():
             if getattr(self, key) < low:
-                raise ConfigError(f"{key} must be at least {low}, got {getattr(self, key)}")
+                raise UsageError(f"{key} must be at least {low}, got {getattr(self, key)}")
         if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+            raise UsageError("learning_rate must be positive")
         if not 0.0 <= self.caption_keep_prob <= 1.0:
-            raise ConfigError("caption_keep_prob must lie in [0, 1]")
+            raise UsageError("caption_keep_prob must lie in [0, 1]")
+        # out_dir is the one free-text key; it must read back from its config line.
+        if (self.out_dir != self.out_dir.strip() or "#" in self.out_dir
+                or len(self.out_dir.splitlines()) > 1):
+            raise UsageError("out_dir must be one line without '#' or outer spaces, "
+                             f"got {self.out_dir!r}")
         check_betas(self.beta1, self.beta2)
         check_beta_range(self.beta_start, self.beta_end)
         self.backbone_config()
@@ -113,7 +119,9 @@ _KEY_SECTION = {key: section for section, keys in SECTIONS.items() for key in ke
 
 
 def _convert(key: str, raw: str, where: str):
+    """A key's value from its text, which is stripped first, as in a file."""
     kind = _FIELD_TYPES[key]
+    raw = raw.strip()
     try:
         if kind == "int":
             return int(raw)
@@ -121,7 +129,7 @@ def _convert(key: str, raw: str, where: str):
             return float(raw)
         return raw
     except ValueError as exc:
-        raise ConfigError(f"bad value for key '{key}' {where}: {raw!r}") from exc
+        raise UsageError(f"bad value for key '{key}' {where}: {raw!r}") from exc
 
 
 def parse_config(text: str) -> RunConfig:
@@ -135,20 +143,20 @@ def parse_config(text: str) -> RunConfig:
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
             if section not in SECTIONS:
-                raise ConfigError(f"unknown section '{section}' at line {number}")
+                raise UsageError(f"unknown section '{section}' at line {number}")
             continue
         if "=" not in line:
-            raise ConfigError(f"expected 'key = value' at line {number}: {raw_line!r}")
+            raise UsageError(f"expected 'key = value' at line {number}: {raw_line!r}")
         key, _, raw_value = line.partition("=")
         key = key.strip()
         if key not in _KEY_SECTION:
-            raise ConfigError(f"unknown key '{key}' at line {number}")
+            raise UsageError(f"unknown key '{key}' at line {number}")
         if section is not None and _KEY_SECTION[key] != section:
-            raise ConfigError(f"key '{key}' at line {number} belongs to "
-                              f"section [{_KEY_SECTION[key]}]")
+            raise UsageError(f"key '{key}' at line {number} belongs to "
+                             f"section [{_KEY_SECTION[key]}]")
         if key in values:
-            raise ConfigError(f"duplicate key '{key}' at line {number}")
-        values[key] = _convert(key, raw_value.strip(), f"at line {number}")
+            raise UsageError(f"duplicate key '{key}' at line {number}")
+        values[key] = _convert(key, raw_value, f"at line {number}")
     return RunConfig(**values)
 
 
@@ -169,13 +177,12 @@ def apply_overrides(config: RunConfig, overrides: dict[str, str]) -> RunConfig:
     values = {f.name: getattr(config, f.name) for f in fields(RunConfig)}
     for key, raw in overrides.items():
         if key not in _FIELD_TYPES:
-            raise ConfigError(f"unknown key '{key}' in override")
-        values[key] = _convert(key, raw, "in override") if isinstance(raw, str) else raw
+            raise UsageError(f"unknown key '{key}' in override")
+        values[key] = _convert(key, raw, "in override")
     return RunConfig(**values)
 
 
 __all__ = [
-    "ConfigError",
     "RunConfig",
     "SECTIONS",
     "apply_overrides",

@@ -74,7 +74,8 @@ class ShapeError(ValueError):
 
 
 class UsageError(ValueError):
-    """Operation called outside its domain (bad index, non-scalar loss, ...)."""
+    """Every usage mistake: a bad config value, argument or op call (bad
+    index, non-scalar loss, ...). The message names the key or argument."""
 
 
 class NonFiniteError(ArithmeticError):

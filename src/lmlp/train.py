@@ -19,7 +19,7 @@ import numpy as np
 from . import tensor as T
 from .backbone import build_model
 from .checkpoint import atomic_open, load_checkpoint, restore_model, save_checkpoint
-from .config import SECTIONS, ConfigError, RunConfig
+from .config import SECTIONS, RunConfig
 from .dataset import generate_arrays
 from .diffusion import training_loss
 from .optim import AdamW, warmup_lr
@@ -90,12 +90,12 @@ def run_training(config: RunConfig, resume: str | None = None) -> TrainResult:
         for key in _RESUME_KEYS:
             ours, stored = getattr(config, key), getattr(snapshot.config, key)
             if ours != stored:
-                raise ConfigError(f"cannot resume from {resume}: {key} is {ours!r} "
-                                  f"here but {stored!r} in the checkpoint")
+                raise T.UsageError(f"cannot resume from {resume}: {key} is {ours!r} "
+                                   f"here but {stored!r} in the checkpoint")
         if config.train_steps < snapshot.step:
-            raise ConfigError(f"cannot resume from {resume}: train_steps is "
-                              f"{config.train_steps} here but the checkpoint is at "
-                              f"step {snapshot.step}")
+            raise T.UsageError(f"cannot resume from {resume}: train_steps is "
+                               f"{config.train_steps} here but the checkpoint is at "
+                               f"step {snapshot.step}")
         model = restore_model(snapshot)
         start_step = snapshot.step
     else:

@@ -30,8 +30,7 @@ from lmlp.optim import AdamW
 from lmlp.tensor import Tensor
 from lmlp.train import checkpoint_name, run_training
 
-TABLE1_PRESETS = ["A1", "A2", "A3", "B1", "B2", "B3", "C1", "D1", "D2",
-                  "E1", "E2", "F1", "F2", "F2-Deep"]
+TABLE1_PRESETS = ["A1", "A2", "A3", "B1", "B2", "B3", "C1", "D1", "D2", "E1", "E2", "F2"]
 
 
 def report(number: int, message: str) -> None:

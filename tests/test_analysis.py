@@ -47,7 +47,7 @@ class TestExtraction:
 
     def test_non_lateralized_block_rejected(self):
         model = model_with(preset="A2")
-        with pytest.raises(analysis.UnsupportedLayerError):
+        with pytest.raises(T.UsageError):
             extract_first_stage(model, 0, "left")
 
     def test_bad_side_rejected(self):

@@ -219,7 +219,7 @@ class TestForward:
         assert np.array_equal(model.run_blocks(tokens).data, expect.data)
 
     def test_skip_with_depth_one_rejected(self):
-        with pytest.raises(backbone.ConfigError):
+        with pytest.raises(T.UsageError):
             desk_config(depth=1)
 
     def test_blocks_never_reorder_tokens(self):

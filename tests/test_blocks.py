@@ -4,8 +4,8 @@ import pytest
 from helpers import check_gradients
 from lmlp import blocks, tensor as T
 
-LMLP_PRESETS = ["A1", "B1", "B2", "B3", "C1", "D1", "D2", "E1", "E2", "F1", "F2", "F2-Deep"]
-ALL_PRESETS = LMLP_PRESETS + ["A2", "A3", "transformer"]
+LMLP_PRESETS = ["A1", "B1", "B2", "B3", "C1", "D1", "D2", "E1", "E2", "F2"]
+ALL_PRESETS = LMLP_PRESETS + ["A2", "A3", "TRANSFORMER"]
 
 
 def tokens(batch=2, seq=6, dim=8, seed=0):
@@ -80,7 +80,7 @@ class TestConstruction:
         assert isinstance(small_block("A3"), blocks.GmlpBlock)
 
     def test_glu_without_projection_rejected(self):
-        with pytest.raises(blocks.UnsupportedBlockError):
+        with pytest.raises(T.UsageError):
             blocks.BlockConfig(seq_len=6, embed_dim=8, merge_op="glu",
                                merge_projection="none", second_stage="none")
 
@@ -101,12 +101,16 @@ class TestConstruction:
         assert blocks.mlp_hidden(512, 5.2) == round(5.2 * 512)
         assert blocks.mlp_hidden(1, 0.1) == 1
 
-    @pytest.mark.parametrize("alias", ["F1", "F2", "F2-Deep", "f2_deep"])
-    def test_skip_presets_are_d2_at_block_level(self, alias):
-        assert blocks.preset_config(alias, 6, 8) == blocks.preset_config("D2", 6, 8)
+    def test_f2_is_the_d2_block(self):
+        assert blocks.preset_config("F2", 6, 8) == blocks.preset_config("D2", 6, 8)
+
+    @pytest.mark.parametrize("name", ["F1", "F2-Deep", "f2_deep", "f2", " F2 ", "transformer"])
+    def test_deleted_or_respelled_preset_names_are_refused(self, name):
+        with pytest.raises(T.UsageError, match="unknown preset"):
+            blocks.preset_config(name, 6, 8)
 
     def test_unknown_preset_rejected(self):
-        with pytest.raises(blocks.UnsupportedBlockError):
+        with pytest.raises(T.UsageError):
             small_block("Z9")
 
 
@@ -190,7 +194,7 @@ class TestForwardSemantics:
         assert not np.allclose(d2(x).data, e2(x).data)
 
     def test_attention_rows_sum_to_one(self):
-        block = small_block("transformer", seed=22)
+        block = small_block("TRANSFORMER", seed=22)
         randomize(block, seed=23)
         normed = block.norm_1(tokens(seed=24))
         ones = T.Tensor(np.ones(normed.shape))
@@ -210,7 +214,7 @@ class TestForwardSemantics:
         assert not np.allclose(with_skip, plain)
 
     @pytest.mark.parametrize("preset,second_out", [
-        ("D2", "fnn_c.fc2."), ("A2", "channel_mlp.fc2."), ("transformer", "mlp.fc2."),
+        ("D2", "fnn_c.fc2."), ("A2", "channel_mlp.fc2."), ("TRANSFORMER", "mlp.fc2."),
         ("A3", None),
     ])
     def test_skip_joins_where_second_stage_begins(self, preset, second_out):

@@ -3,13 +3,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lmlp import pgm
+from lmlp import analysis, blocks, pgm, tensor as T
+from lmlp.checkpoint import load_checkpoint, restore_model
 from lmlp.cli import main
 from lmlp.config import RunConfig, serialize_config
 from lmlp.train import checkpoint_name, run_training
 
 
 GOLDEN_DIR = Path(__file__).parent / "data"
+GOLDEN_F2, GOLDEN_A3 = GOLDEN_DIR / "golden_f2.lmlp", GOLDEN_DIR / "golden_a3.lmlp"
 FLOAT_KEYS = ("learning_rate", "weight_decay", "beta1", "beta2", "mlp_scale",
               "beta_start", "beta_end", "guidance_scale", "caption_keep_prob")
 
@@ -39,6 +41,46 @@ class TestArgumentErrors:
     def test_help_exits_0(self, capsys):
         assert main(["train", "--help"]) == 0
         assert "--config" in capsys.readouterr().out
+
+
+def _run_config_refusal(key, value):
+    """RunConfig(key=value) directly, and ``show-config`` with the flag."""
+    flag = f"--{key.replace('_', '-')}={value}"
+    return pytest.param(lambda out: RunConfig(**{key: value}), ["show-config", flag],
+                        id=f"{key}={value}")
+
+
+class TestOneUsageErrorType:
+    @pytest.mark.parametrize("refuse, argv", [
+        _run_config_refusal("depth", 0),
+        _run_config_refusal("preset", "ZZ"),
+        _run_config_refusal("beta1", 2.0),
+        _run_config_refusal("image_side", 12),
+        _run_config_refusal("text_tokens", 2),
+        _run_config_refusal("sample_steps", 0),
+        _run_config_refusal("mlp_scale", -1.0),
+        pytest.param(lambda out: blocks.BlockConfig(seq_len=0, embed_dim=8),
+                     ["bench", "--measure", "D2:0:8:2"], id="block-config"),
+        pytest.param(lambda out: analysis.extract_first_stage(
+                         restore_model(load_checkpoint(GOLDEN_A3)), 0, "left"),
+                     ["inspect", "--checkpoint", str(GOLDEN_A3), "--layer", "0",
+                      "--out-dir", "{out}"], id="inspect-a3-layer"),
+        pytest.param(lambda out: run_training(RunConfig(seed=7, out_dir=str(out)),
+                                              resume=str(GOLDEN_F2)),
+                     ["train", "--seed", "7", "--out-dir", "{out}", "--resume", str(GOLDEN_F2)],
+                     id="mismatched-resume"),
+    ])
+    def test_every_refusal_is_a_usage_error_and_exits_2(self, tmp_path, capsys, refuse, argv):
+        """A bad config value, block, inspected layer or resume raises the one
+        usage type, and its verb exits 2 with one line and writes nothing."""
+        out = tmp_path / "out"
+        with pytest.raises(T.UsageError):
+            refuse(out)
+        assert main([arg.format(out=out) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestBench:

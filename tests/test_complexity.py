@@ -94,7 +94,7 @@ class TestMeasurement:
         assert macs == int(lmlp_cost(seq, dim, scale).macs)
 
     def test_transformer_measured_equals_analytic_exactly(self):
-        block = blocks.build_block("transformer", 0, seq_len=64, embed_dim=128,
+        block = blocks.build_block("TRANSFORMER", 0, seq_len=64, embed_dim=128,
                                    mlp_scale=4.0)
         macs, _ = measure(block, 64, 128)
         assert macs == int(transformer_cost(64, 128, 4.0).macs)

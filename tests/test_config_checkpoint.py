@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lmlp import backbone, checkpoint, tensor as T
+from lmlp import checkpoint, tensor as T
 from lmlp.backbone import build_model
 from lmlp.checkpoint import (
     CheckpointError,
@@ -13,7 +13,6 @@ from lmlp.checkpoint import (
     save_checkpoint,
 )
 from lmlp.config import (
-    ConfigError,
     RunConfig,
     apply_overrides,
     parse_config,
@@ -44,19 +43,19 @@ class TestConfigFormat:
 
     def test_unknown_key_names_key_and_line(self):
         text = "[run]\nseed = 1\nbananas = 2\n"
-        with pytest.raises(ConfigError, match=r"bananas.*line 3"):
+        with pytest.raises(T.UsageError, match=r"bananas.*line 3"):
             parse_config(text)
 
     def test_bad_value_names_key(self):
-        with pytest.raises(ConfigError, match="seed"):
+        with pytest.raises(T.UsageError, match="seed"):
             parse_config("[run]\nseed = soon\n")
 
     def test_key_in_wrong_section_rejected(self):
-        with pytest.raises(ConfigError, match="patch"):
+        with pytest.raises(T.UsageError, match="patch"):
             parse_config("[run]\npatch = 2\n")
 
     def test_duplicate_key_rejected(self):
-        with pytest.raises(ConfigError, match="duplicate"):
+        with pytest.raises(T.UsageError, match="duplicate"):
             parse_config("[run]\nseed = 1\nseed = 2\n")
 
     def test_comments_and_blank_lines_ignored(self):
@@ -67,19 +66,26 @@ class TestConfigFormat:
         config = apply_overrides(RunConfig(), {"seed": "9", "preset": "D2"})
         assert config.seed == 9 and config.preset == "D2"
 
+    def test_an_override_is_read_like_the_same_text_in_a_file(self):
+        config = apply_overrides(RunConfig(), {"skip_mode": " none ", "out_dir": " runs/x "})
+        assert config == parse_config("[run]\nout_dir =  runs/x \n[model]\nskip_mode =  none \n")
+        assert parse_config(serialize_config(config)) == config
+
+    @pytest.mark.parametrize("out_dir", ["runs/#1", "runs/a\nb", " runs/x"])
+    def test_out_dir_that_cannot_read_back_is_refused(self, out_dir):
+        with pytest.raises(T.UsageError, match="out_dir"):
+            RunConfig(out_dir=out_dir)
+
     def test_override_unknown_key(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(T.UsageError):
             apply_overrides(RunConfig(), {"bananas": "1"})
 
     def test_validate_rejects_bad_geometry(self):
         with pytest.raises(Exception):
             tiny_config(image_side=5)
 
-    def test_one_config_error_class(self):
-        assert ConfigError is backbone.ConfigError
-
     def test_validate_rejects_unknown_preset(self):
-        with pytest.raises(ConfigError, match="ZZ"):
+        with pytest.raises(T.UsageError, match="ZZ"):
             tiny_config(preset="ZZ")
 
 

@@ -1,4 +1,5 @@
-"""Property test of the config parser over the real keys with arbitrary values."""
+"""Property tests of the config parser and of CLI-style overrides over the
+real keys with arbitrary values."""
 
 from dataclasses import fields
 
@@ -8,10 +9,11 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from lmlp.cli import USAGE_ERRORS
-from lmlp.config import SECTIONS, RunConfig, parse_config, serialize_config
+from lmlp.config import SECTIONS, RunConfig, apply_overrides, parse_config, serialize_config
+from lmlp.tensor import UsageError
 
 SECTION_OF = {key: section for section, keys in SECTIONS.items() for key in keys}
+FIELD_TYPES = [(f.name, f.type) for f in fields(RunConfig)]
 ANY_VALUE = st.text(max_size=12)
 VALUE_OF_TYPE = {
     "int": st.integers(-2, 70).map(str) | st.integers().map(str),
@@ -22,10 +24,21 @@ VALUE_OF_TYPE = {
 # (key, value, whether the key's own section header goes before it); a key
 # given twice is refused before its value is read, so none is drawn twice
 LINES = st.lists(
-    st.sampled_from([(f.name, f.type) for f in fields(RunConfig)]).flatmap(
+    st.sampled_from(FIELD_TYPES).flatmap(
         lambda field: st.tuples(st.just(field[0]), VALUE_OF_TYPE[field[1]] | ANY_VALUE,
                                 st.booleans())),
     max_size=6, unique_by=lambda line: line[0])
+PADDING = st.sampled_from(["", " ", "\t", "  "])
+# (key, value) of one override, the value possibly padded as a shell can pass it
+OVERRIDES = st.sampled_from(FIELD_TYPES).flatmap(
+    lambda field: st.tuples(st.just(field[0]), st.tuples(
+        PADDING, VALUE_OF_TYPE[field[1]] | ANY_VALUE, PADDING).map("".join)))
+
+
+def assert_round_trips(config):
+    once = serialize_config(config)
+    assert parse_config(once) == config
+    assert serialize_config(parse_config(once)) == once
 
 
 @settings(max_examples=150, deadline=None, database=None, derandomize=True)
@@ -35,9 +48,18 @@ def test_parse_config_gives_a_config_or_a_usage_error(lines):
                      for key, value, header in lines)
     try:
         config = parse_config(text)
-    except USAGE_ERRORS:
+    except UsageError:
         return
     assert isinstance(config, RunConfig)
-    once = serialize_config(config)
-    assert parse_config(once) == config
-    assert serialize_config(parse_config(once)) == once
+    assert_round_trips(config)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(OVERRIDES)
+def test_an_override_gives_a_usage_error_or_a_config_that_round_trips(override):
+    key, value = override
+    try:
+        config = apply_overrides(RunConfig(), {key: value})
+    except UsageError:
+        return
+    assert_round_trips(config)

@@ -9,7 +9,7 @@ import pytest
 from helpers import count_isfinite
 from lmlp import tensor as T, train
 from lmlp.checkpoint import load_checkpoint, restore_model, save_checkpoint
-from lmlp.config import ConfigError, RunConfig
+from lmlp.config import RunConfig
 from lmlp.optim import AdamW
 from lmlp.train import LOG_HEADER, LOG_NAME, checkpoint_name, run_training
 
@@ -167,15 +167,15 @@ class TestResumeConfig:
     ])
     def test_mismatched_key_is_refused(self, tmp_path, half_run, key, value):
         config = tiny_config(tmp_path / "resumed", train_steps=4, **{key: value})
-        with pytest.raises(ConfigError, match=f"{key} is {value!r} here but"):
+        with pytest.raises(T.UsageError, match=f"{key} is {value!r} here but"):
             run_training(config, resume=half_run)
 
     def test_train_steps_below_the_checkpoint_step_is_refused(self, half_run):
         run_dir = half_run.parent
         log = (run_dir / "loss_log.csv").read_text()
         config = tiny_config(run_dir, train_steps=1)
-        with pytest.raises(ConfigError, match="train_steps is 1 here but the checkpoint "
-                                              "is at step 2"):
+        with pytest.raises(T.UsageError, match="train_steps is 1 here but the checkpoint "
+                                               "is at step 2"):
             run_training(config, resume=half_run)
         assert (run_dir / "loss_log.csv").read_text() == log
         assert not (run_dir / checkpoint_name(1)).exists()
