@@ -20,7 +20,8 @@ without moments, or whose update count is not its step, does not load.
 Parameters are stored as 32-bit floats, so checkpointed models are built
 with dtype float32 and round-trip bitwise. A checkpoint is written to a
 temporary file next to its path and renamed into place, so a write that
-fails part-way leaves any earlier file at that path as it was.
+fails part-way leaves any earlier file at that path as it was. A state with
+a non-finite value, which the loader would refuse, is not written at all.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 from .backbone import UlMlpModel, build_model
 from .config import RunConfig, parse_config, serialize_config
 from .optim import AdamW
-from .tensor import UsageError
+from .tensor import NonFiniteError, UsageError
 
 MAGIC = b"LMLP"
 VERSION = 1
@@ -74,10 +75,23 @@ def _write_array(out, arr: np.ndarray) -> None:
     out.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
+def _first_non_finite(optimizer: AdamW) -> str:
+    """The first record, in file order, of ``optimizer``'s state that holds
+    a non-finite value, named as the loader names it."""
+    records = list(zip(optimizer.names, (p.data for p in optimizer.params)))
+    for name, m, v in zip(optimizer.names, optimizer.exp_avg, optimizer.exp_avg_sq):
+        records += [(f"first moment of {name}", m), (f"second moment of {name}", v)]
+    return next(what for what, arr in records if not np.isfinite(arr).all())
+
+
 def save_checkpoint(path, config: RunConfig, optimizer: AdamW) -> None:
-    """Write ``optimizer``'s parameters, its update count as the step, and its moments."""
+    """Write ``optimizer``'s parameters, its update count as the step, and its
+    moments; a non-finite value among them raises ``NonFiniteError`` first."""
     if optimizer.flat.dtype != np.float32:
         raise UsageError("checkpoints store 32-bit values; build the model with float32")
+    if not all(np.isfinite(buf).all() for buf in (optimizer.flat, optimizer.m, optimizer.v)):
+        raise NonFiniteError(f"cannot save {path}: {_first_non_finite(optimizer)} holds "
+                             "a non-finite value")
     config_bytes = serialize_config(config).encode()
     with atomic_open(path) as out:
         out.write(MAGIC + struct.pack("<I", VERSION))

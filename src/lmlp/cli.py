@@ -1,9 +1,10 @@
 """Command-line surface.
 
-Verbs: ``train``, ``sample``, ``bench``, ``inspect``, ``gen-data``. Exit
-codes: 0 success, 1 domain failure (I/O, numerical divergence, bad data),
-2 a usage mistake (``tensor.UsageError``: a bad config value, argument or
-op call). Every failure prints a single-line diagnostic to stderr.
+Verbs: ``train``, ``show-config``, ``sample``, ``bench``, ``inspect``,
+``gen-data``. Exit codes: 0 success, 1 domain failure (I/O, numerical
+divergence, bad data), 2 a usage mistake (``tensor.UsageError``: a bad
+config value, argument or op call). Every failure prints a single-line
+diagnostic to stderr.
 """
 
 from __future__ import annotations
@@ -17,15 +18,14 @@ import numpy as np
 
 from . import analysis, pgm, tensor as T
 from .blocks import build_block
-from .checkpoint import CheckpointError, load_checkpoint, restore_model
+from .checkpoint import load_checkpoint, restore_model
 from .complexity import ANALYTIC_KINDS, analytic_cost, cost_table, measure, reference_rows
 from .config import RunConfig, apply_overrides, parse_config, serialize_config
 from .dataset import ToyDatasetConfig, encode_caption, write_dataset
-from .diffusion import SamplerConfig, SamplingDiverged, sample as draw_samples
+from .diffusion import SamplerConfig, sample as draw_samples
 from .train import run_training
 
-DOMAIN_ERRORS = (OSError, SamplingDiverged, T.NonFiniteError, T.ShapeError,
-                 CheckpointError, ValueError)
+DOMAIN_ERRORS = (OSError, T.NonFiniteError, ValueError)
 
 
 # ---------------------------------------------------------------------------

@@ -16,15 +16,6 @@ from . import dataset, tensor as T
 from .tensor import Tensor
 
 
-class SamplingDiverged(ArithmeticError):
-    """Sampling produced a non-finite state; carries the failing step index."""
-
-    def __init__(self, step: int, timestep: int):
-        super().__init__(f"sampling diverged at step {step} (t={timestep})")
-        self.step = step
-        self.timestep = timestep
-
-
 def check_beta_range(beta_start: float, beta_end: float) -> None:
     """The linear schedule's rule: 0 < beta_start <= beta_end < 1."""
     if not (0.0 < beta_start <= beta_end < 1.0):
@@ -170,13 +161,12 @@ def sample(model, text_ids: np.ndarray, sched: NoiseSchedule,
     (abar' = 1, sigma' = 0), so a one-step schedule collapses exactly to the
     predicted clean image (x - sigma * eps_hat) / sqrt(abar).
 
-    Each step (the guided prediction and the update) runs without the
-    engine's per-op finiteness checks, and the new state is checked once.
-    When it is non-finite, the step runs again from the kept previous state
-    with the checks on, and ``SamplingDiverged`` carries the op-named
-    ``NonFiniteError`` as its cause. A non-finite value inside a step that
-    does not reach the state, such as one in the tokens that ``narrow`` drops
-    before the head, is no error.
+    Each step (the guided prediction and the update) runs through
+    ``tensor._checked_once``: the new state is checked once, and a failed
+    check replays the step from the kept previous state, which raises
+    ``NonFiniteError`` naming the step, its time and the op. A non-finite
+    value inside a step that does not reach the state, such as one in the
+    tokens that ``narrow`` drops before the head, is no error.
     """
     if not np.isfinite(omega):
         raise T.UsageError(f"guidance scale must be finite, got {omega!r}")
@@ -198,24 +188,17 @@ def sample(model, text_ids: np.ndarray, sched: NoiseSchedule,
             else:
                 root_next, sigma_next = 1.0, 0.0
             ratio = root_next / float(np.sqrt(sched.alpha_bars[t]))
-            step_args = (model, state, text_ids, np.full(batch, t, dtype=int), omega,
-                         ratio, ratio * float(sched.sigmas[t]) - sigma_next)
-            with T._unchecked():
-                new_state = _denoise(*step_args)
-            if not np.isfinite(new_state.data).all():
-                try:
-                    _denoise(*step_args)  # checked: raises the op-named error
-                except T.NonFiniteError as exc:
-                    raise SamplingDiverged(step, int(t)) from exc
-                raise SamplingDiverged(step, int(t))
-            state = new_state
+            state = T._checked_once(
+                f"sampling step {step} (t={t})", _denoise,
+                (model, state, text_ids, np.full(batch, t, dtype=int), omega,
+                 ratio, ratio * float(sched.sigmas[t]) - sigma_next),
+                lambda new_state: np.isfinite(new_state.data).all())
     return state
 
 
 __all__ = [
     "NoiseSchedule",
     "SamplerConfig",
-    "SamplingDiverged",
     "cfg_eps",
     "check_beta_range",
     "check_timesteps",

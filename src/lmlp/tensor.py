@@ -20,14 +20,15 @@ no operand into a permuted layout.
 
 The engine refuses to propagate NaN/Inf: by default any operation whose
 result is non-finite raises ``NonFiniteError`` naming the op. The training
-loop and the sampler switch these per-op checks off for the body of each
-step (``_unchecked``) and check once where the step ends: the loss and the
-flat gradient, or the new sampler state. When that check fails, they run
-the step again with the checks on, which raises the op-named error. Inside
-those loops a non-finite value that reaches neither the loss, nor a
-gradient, nor the sampler state is therefore no error: in training almost
-every forward value is read by some vjp, where 0 * inf = NaN, but the
-tokens that ``narrow`` drops before the sampler's head are such a value.
+loop and the sampler run each step through ``_checked_once``, which
+switches these per-op checks off for the step and checks once where it
+ends: the loss and the flat gradient, or the new sampler state. When that
+check fails, it runs the step again with the checks on, and the
+``NonFiniteError`` it raises names the step and the op. Inside those loops
+a non-finite value that reaches neither the loss, nor a gradient, nor the
+sampler state is therefore no error: in training almost every forward
+value is read by some vjp, where 0 * inf = NaN, but the tokens that
+``narrow`` drops before the sampler's head are such a value.
 
 Grad mode (``no_grad``), the finiteness checks and MAC counters
 (``count_macs``) are per thread. Five kinds of op may run as two halves:
@@ -143,7 +144,7 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
         raise NonFiniteError(f"{op} produced a non-finite value")
 
 
-# Not in __all__: the benchmark's tracer wraps every function listed there as an op.
+# Neither is in __all__: the benchmark's tracer wraps every name there as an op.
 @contextmanager
 def _unchecked():
     """Skip every op's finiteness check inside the block, in the calling
@@ -157,6 +158,21 @@ def _unchecked():
             yield
     finally:
         _STATE.checks = prev
+
+
+def _checked_once(what: str, step, args: tuple, finite):
+    """``step(*args)``, run unchecked, if ``finite`` accepts its result.
+    Otherwise the step runs again from ``args`` with every op checked, and
+    the ``NonFiniteError`` raised names ``what`` and the replay's op error."""
+    with _unchecked():
+        result = step(*args)
+    if finite(result):
+        return result
+    try:
+        step(*args)
+    except NonFiniteError as exc:
+        raise NonFiniteError(f"{what}: {exc}") from exc
+    raise NonFiniteError(f"{what} produced a non-finite value")
 
 
 # ---------------------------------------------------------------------------

@@ -75,13 +75,13 @@ def _step_gradient(model, optimizer: AdamW, config: RunConfig, x0_all: np.ndarra
 def run_training(config: RunConfig, resume: str | None = None) -> TrainResult:
     """Train per the config; write loss log and periodic checkpoints to out_dir.
 
-    Each step's micro-batches run without the engine's per-op finiteness
-    checks, and the step's loss and flat gradient are checked once, before
-    its log row and update. When either is non-finite, the step runs again
-    from a zeroed gradient and its own generator with the checks on, which
-    raises the op-named ``NonFiniteError``; parameters, moments, log and
-    checkpoints stay as the previous step left them. A non-finite forward
-    value that no vjp reads and the loss does not reach is no error.
+    Each step runs through ``tensor._checked_once``: its loss and flat
+    gradient are checked once, before its log row and update, and a failed
+    check replays the step from a zeroed gradient and its own generator,
+    which raises ``NonFiniteError`` naming the step and the op. Parameters,
+    moments, log and checkpoints then stay as the previous step left them.
+    A non-finite forward value that no vjp reads and the loss does not
+    reach is no error.
     """
     sched = config.noise_schedule()
 
@@ -125,13 +125,10 @@ def run_training(config: RunConfig, resume: str | None = None) -> TrainResult:
             # nothing to train: still leave the final checkpoint the result names
             save_checkpoint(out_dir / checkpoint_name(start_step), config, optimizer)
         for step in range(start_step, config.train_steps):
-            step_args = (model, optimizer, config, x0_all, captions, sched, step)
-            with T._unchecked():
-                step_loss = _step_gradient(*step_args)
-            if not (math.isfinite(step_loss) and np.isfinite(optimizer.grad).all()):
-                _step_gradient(*step_args)  # checked: raises the op-named error
-                raise T.NonFiniteError(f"training step {step} produced a non-finite "
-                                       "loss or gradient")
+            step_loss = T._checked_once(
+                f"training step {step}", _step_gradient,
+                (model, optimizer, config, x0_all, captions, sched, step),
+                lambda loss: math.isfinite(loss) and np.isfinite(optimizer.grad).all())
             optimizer.step(warmup_lr(config.learning_rate, step, config.warmup_steps))
             losses.append(step_loss)
             print(f"{step},{step_loss!r}", file=log)

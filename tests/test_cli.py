@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from lmlp import analysis, blocks, pgm, tensor as T
-from lmlp.checkpoint import load_checkpoint, restore_model
+from lmlp.checkpoint import load_checkpoint, restore_model, save_checkpoint
 from lmlp.cli import main
 from lmlp.config import RunConfig, serialize_config
+from lmlp.optim import AdamW
 from lmlp.train import checkpoint_name, run_training
 
 
@@ -24,6 +25,37 @@ def trained_checkpoint(tmp_path):
                        out_dir=str(tmp_path / "train"))
     run_training(config)
     return tmp_path / "train" / checkpoint_name(2)
+
+
+class TestNonFiniteStep:
+    """A checkpoint whose weight overflows a matmul: each verb that runs
+    steps exits 1 with one line naming the step and the op."""
+
+    @pytest.fixture()
+    def poisoned(self, trained_checkpoint, tmp_path):
+        snapshot = load_checkpoint(trained_checkpoint)
+        optimizer = AdamW(list(restore_model(snapshot).named_parameters()))
+        optimizer.load_state(snapshot.step, snapshot.opt_exp_avg, snapshot.opt_exp_avg_sq)
+        optimizer.params[optimizer.names.index("blocks.0.fnn_c.fc1.weight")].data[0, 0] = 3e38
+        save_checkpoint(tmp_path / "poisoned.lmlp", snapshot.config, optimizer)
+        (tmp_path / "run.cfg").write_text(serialize_config(snapshot.config))
+        return tmp_path / "poisoned.lmlp"
+
+    def test_train_names_the_step_and_the_op(self, poisoned, tmp_path, capsys):
+        code = main(["train", "--config", str(tmp_path / "run.cfg"), "--train-steps", "3",
+                     "--out-dir", str(tmp_path / "r"), "--resume", str(poisoned)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: training step 2: matmul produced a non-finite value\n")
+
+    def test_sample_names_the_step_and_the_op(self, poisoned, tmp_path, capsys):
+        captions = tmp_path / "c.txt"
+        captions.write_text("square center bright\n")
+        code = main(["sample", "--checkpoint", str(poisoned), "--captions", str(captions),
+                     "--steps", "5", "--out-dir", str(tmp_path / "s")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: sampling step 0 (t=999): matmul produced a non-finite value\n")
 
 
 class TestArgumentErrors:

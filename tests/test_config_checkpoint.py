@@ -1,3 +1,4 @@
+import re
 import struct
 from pathlib import Path
 
@@ -221,6 +222,26 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert [f.name for f in tmp_path.iterdir()] == ["model.lmlp"]
 
+    def test_overflowed_second_moment_is_not_saved_over_a_checkpoint(self, tmp_path):
+        """A finite gradient whose square overflows float32 makes AdamW's second
+        moment infinite; saving that state would write a file the loader
+        refuses, so the save raises before it opens a file."""
+        config = tiny_config()
+        _, optimizer = self.build(config)
+        path = tmp_path / "model.lmlp"
+        save_checkpoint(path, config, optimizer)
+        before = path.read_bytes()
+        optimizer.grad[0] = 1e20
+        with np.errstate(over="ignore"):
+            optimizer.step(1e-3)
+        assert np.isinf(optimizer.exp_avg_sq[0]).any() and np.isfinite(optimizer.flat).all()
+        message = (f"cannot save {path}: second moment of {optimizer.names[0]} holds a "
+                   "non-finite value")
+        with pytest.raises(T.NonFiniteError, match=f"^{re.escape(message)}$"):
+            save_checkpoint(path, config, optimizer)
+        assert path.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["model.lmlp"]
+
     def test_save_rejects_float64_models(self, tmp_path):
         config = tiny_config()
         model = build_model(config.backbone_config(), 0, dtype=np.float64)
@@ -412,9 +433,9 @@ class TestMalformedCheckpoint:
     def test_non_finite_optimizer_moment_rejected(self, tmp_path):
         config = tiny_config()
         model = build_model(config.backbone_config(), config.seed, dtype=np.float32)
-        optimizer = AdamW(list(model.named_parameters()))
-        optimizer.exp_avg_sq[-1][...] = np.inf
         path = tmp_path / "m.lmlp"
-        save_checkpoint(path, config, optimizer)
+        save_checkpoint(path, config, AdamW(list(model.named_parameters())))
+        # the file ends with the last parameter's second moment
+        path.write_bytes(path.read_bytes()[:-4] + np.float32(np.inf).tobytes())
         with pytest.raises(CheckpointError, match="second moment"):
             load_checkpoint(path)

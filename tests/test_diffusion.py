@@ -10,7 +10,6 @@ from lmlp.config import RunConfig
 from lmlp.diffusion import (
     NoiseSchedule,
     SamplerConfig,
-    SamplingDiverged,
     cfg_eps,
     forward_noise,
     sample,
@@ -341,17 +340,27 @@ class TestSampler:
 
     def test_divergence_reports_step(self, sched):
         model = StubModel(lambda x_t, i, t: x_t * 1e30)
-        with pytest.raises(SamplingDiverged) as info:
+        with pytest.raises(T.NonFiniteError, match=r"^sampling step [1-9]"):
             sample(model, np.zeros((1, 2), dtype=int), sched, SamplerConfig(50), 0.0, 3)
-        assert info.value.step > 0
 
     def test_overflowing_weight_names_the_op(self, sched):
         model = desk_model(seed=34, dtype=np.float32)
         dict(model.named_parameters())["blocks.0.fnn_c.fc1.weight"].data[0, 0] = 3e38
-        with pytest.raises(SamplingDiverged, match=r"^sampling diverged at step 0 \(t=999\)$") as info:
+        with pytest.raises(T.NonFiniteError, match=r"^sampling step 0 \(t=999\): matmul "
+                           r"produced a non-finite value$") as info:
             sample(model, np.array([[1, 2]]), sched, SamplerConfig(5), 1.0, 0)
         assert isinstance(info.value.__cause__, T.NonFiniteError)
         assert str(info.value.__cause__) == "matmul produced a non-finite value"
+        assert T._STATE.checks
+
+    def test_non_finite_state_outside_any_op_names_the_step(self, sched, monkeypatch):
+        model = StubModel(lambda x_t, i, t: Tensor(np.zeros(x_t.shape)))
+        monkeypatch.setattr(diffusion, "_denoise", lambda model, state, *args: Tensor._wrap(
+            np.full(state.shape, np.nan, dtype=state.dtype)))
+        label_only = r"^sampling step 0 \(t=999\) produced a non-finite value$"
+        with pytest.raises(T.NonFiniteError, match=label_only) as info:
+            sample(model, np.zeros((1, 2), dtype=int), sched, SamplerConfig(5), 1.0, 0)
+        assert info.value.__cause__ is None
         assert T._STATE.checks
 
     def test_guided_desk_step_checks_finiteness_once(self, sched, monkeypatch):

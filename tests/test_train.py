@@ -124,7 +124,8 @@ class TestNonFiniteStep:
         monkeypatch.setattr(train, "AdamW", lambda *args, **kwargs: built.append(
             AdamW(*args, **kwargs)) or built[-1])
 
-        with pytest.raises(T.NonFiniteError, match="^matmul produced a non-finite value$"):
+        with pytest.raises(T.NonFiniteError,
+                           match="^training step 2: matmul produced a non-finite value$"):
             run_training(tiny_config(run_dir, train_steps=3, checkpoint_every=1,
                                      grad_accumulation=grad_accumulation),
                          resume=tmp_path / "poisoned.lmlp")
@@ -134,6 +135,21 @@ class TestNonFiniteStep:
             assert np.array_equal(getattr(optimizer, name), getattr(poisoned, name)), name
         assert (run_dir / LOG_NAME).read_text() == log
         assert not (run_dir / checkpoint_name(3)).exists()
+        assert T._STATE.checks
+
+    def test_non_finite_loss_outside_any_op_names_the_step_and_changes_nothing(
+            self, tmp_path, monkeypatch):
+        run_dir = tmp_path / "run"
+        run_training(tiny_config(run_dir, train_steps=2, checkpoint_every=1))
+        files = {path.name: path.read_bytes() for path in run_dir.iterdir()}
+        monkeypatch.setattr(train, "_step_gradient", lambda *args: float("nan"))
+
+        with pytest.raises(T.NonFiniteError,
+                           match="^training step 2 produced a non-finite value$") as info:
+            run_training(tiny_config(run_dir, train_steps=3, checkpoint_every=1),
+                         resume=run_dir / checkpoint_name(2))
+        assert info.value.__cause__ is None
+        assert {path.name: path.read_bytes() for path in run_dir.iterdir()} == files
         assert T._STATE.checks
 
     def test_desk_step_checks_finiteness_once(self, tmp_path, monkeypatch):
