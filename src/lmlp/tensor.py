@@ -31,28 +31,25 @@ value is read by some vjp, where 0 * inf = NaN, but the tokens that
 ``narrow`` drops before the sampler's head are such a value.
 
 Grad mode (``no_grad``), the finiteness checks and MAC counters
-(``count_macs``) are per thread. Five kinds of op may run as two halves:
-one on the calling thread and one on a single worker thread, which only
-calls numpy. That happens only when the process may run on two CPUs and
-numpy's OpenBLAS runs on one thread (``OPENBLAS_NUM_THREADS=1``): an
+(``count_macs``) are per thread. Four kinds of float32 op may run as two
+halves: one on the calling thread and one on a single worker thread, which
+only calls numpy. That happens only when the process may run on two CPUs
+and numpy's OpenBLAS runs on one thread (``OPENBLAS_NUM_THREADS=1``): an
 OpenBLAS with threads of its own already uses the second core, and
-splitting on top of it was slower. The split ops and their halves,
-float32 except attention, which splits in float64 too:
+splitting on top of it was slower. The split ops and their halves:
 
 - ``matmul`` of at least 2^25 MACs in one GEMM: output-column blocks;
 - ``attention`` of at least two heads and 2^25 MACs: head ranges;
 - ``gelu`` of at least 2^19 elements: flat element ranges;
 - ``layer_norm`` over the trailing axis of at least 2^19 elements: row
-  blocks, cut on a multiple of 16 rows;
-- ``narrow`` of at least 2^19 output elements: ranges of the extents
-  before the narrowed axis.
+  blocks, cut on a multiple of 16 rows.
 
 The results are bitwise those of the serial op. Each half does its op's
 whole job on its part, bias add and finiteness check included, and the
-worker's half runs under the calling thread's numpy error state and
-finiteness checks. Desk-scale ops stay below every size, desk attention
-has one head, and the backward ops always run serially. Importing the
-module starts no thread; the worker starts with the first split op.
+worker's half runs under the calling thread's finiteness checks. Desk-scale
+ops stay below every size, desk attention has one head, and the backward
+ops always run serially. Importing the module starts no thread; the worker
+starts with the first split op.
 """
 
 from __future__ import annotations
@@ -161,12 +158,15 @@ def _unchecked():
 
 
 def _checked_once(what: str, step, args: tuple, finite):
-    """``step(*args)``, run unchecked, if ``finite`` accepts its result.
-    Otherwise the step runs again from ``args`` with every op checked, and
-    the ``NonFiniteError`` raised names ``what`` and the replay's op error."""
+    """``step(*args)``, run unchecked, if ``finite`` accepts its result; the
+    test runs unchecked too, so an overflow in it is a rejection, not a
+    warning. Otherwise the step runs again from ``args`` with every op
+    checked, and the ``NonFiniteError`` raised names ``what`` and the
+    replay's op error."""
     with _unchecked():
         result = step(*args)
-    if finite(result):
+        accepted = finite(result)
+    if accepted:
         return result
     try:
         step(*args)
@@ -179,7 +179,7 @@ def _checked_once(what: str, step, args: tuple, finite):
 # a second core for large ops
 # ---------------------------------------------------------------------------
 
-# Work from which an op runs as two halves on two threads. Measured on
+# Work from which a float32 op runs as two halves on two threads. Measured on
 # a 2-core x86_64 (AVX-512) with numpy 2.4 and its OpenBLAS on one thread:
 # split, a 334x512x2048 GEMM went from 8-10 to 6 ms and GELU on 334x2048
 # elements from 5.7 to 4.3 ms, but splitting from 2^23 MACs and 2^17
@@ -189,16 +189,17 @@ def _checked_once(what: str, step, args: tuple, finite):
 # One GEMM this large also keeps both halves far above OpenBLAS's
 # small-matrix path (about 10^6 MACs), whose results differ from the
 # blocked kernel's. Attention splits by heads from the same MAC count; the
-# reference point's 8-head attention is 114M MACs. Every other split op
-# (GELU, a trailing-axis layer norm, narrow) splits from 2^19 output
-# elements: the largest desk-scale one has 344k (A3's expansion), and A3's
-# gate half at the reference point has 684k. add, sub and mul run whole:
-# splitting A3's gate product, the one such op this large, saved 0.5-1.3%
-# of A3's reference forward over 300 in-process pairs, too little for a
-# benchmark run to resolve. A layer norm cuts its rows on a multiple of 16:
-# _weighted_sum's gemv sums rows in groups of 4, and a 334x2048 norm cut at
-# row 167 changed rows 164, 165 and 333, while every cut on a multiple of 4
-# was bitwise the whole call.
+# reference point's 8-head attention is 114M MACs. GELU and a trailing-axis
+# layer norm split from 2^19 output elements: the largest desk-scale one has
+# 344k (A3's expansion), and A3's gate norm at the reference point has 684k.
+# add, sub, mul and narrow run whole: splitting A3's gate product saved
+# 0.5-1.3% of A3's reference forward over 300 in-process pairs, too little
+# for a benchmark run to resolve, and A3 read 20.1 ms with whole narrows
+# against 20.2 ms with split ones, fresh process per side. float64 ops run
+# whole; no workload runs them at the reference point. A layer norm cuts its
+# rows on a multiple of 16: _weighted_sum's gemv sums rows in groups of 4,
+# and a 334x2048 norm cut at row 167 changed rows 164, 165 and 333, while
+# every cut on a multiple of 4 was bitwise the whole call.
 _SPLIT_MIN_MACS = 1 << 25
 _SPLIT_MIN_ELEMENTS = 1 << 19
 
@@ -225,7 +226,10 @@ def _second_core_free() -> bool:
     """Whether a large op may take a second thread: the process may run on
     two CPUs and OpenBLAS runs on one thread. With OpenBLAS on two threads,
     a 334x512x2048 float32 GEMM took 6.3-6.5 ms whole and 6.8-7.6 ms split
-    over two threads on top (2-core x86_64, medians of 60 calls)."""
+    over two threads on top (2-core x86_64, medians of 60 calls). It does
+    not look at load: beside a test run the split 334x512->2048 dense layer
+    took 9.3-10.2 ms against 4.3 ms quiet, but no serial run was measured to
+    beat it there, and a load reading is stale by the time the halves run."""
     if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
         return False
     query = _blas_thread_query()
@@ -243,15 +247,6 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_worker)
 
 
-def _as_caller(errors: dict, checks: bool, fn, *args) -> None:
-    """``fn(*args)`` under the calling thread's numpy error state and
-    finiteness checks, neither of which reaches other threads by itself;
-    every job on the worker sets both."""
-    _STATE.checks = checks
-    with np.errstate(**errors):
-        fn(*args)
-
-
 def _split_worker():
     """The one worker thread, started on first use."""
     global _worker
@@ -263,18 +258,28 @@ def _split_worker():
         return _worker
 
 
-def _by_halves(fn, n: int, large: bool, align: int = 1) -> None:
-    """Run ``fn(0, n)``. A large op with a second core free runs
-    ``fn(half, n)`` on the worker thread and ``fn(0, half)`` here, where
-    ``half`` is ``n // 2`` rounded down to a multiple of ``align``, and
-    returns once both halves have finished."""
-    if not (large and _second_core_free()):
-        fn(0, n)
+def _by_halves(fn, n: int, dtype, large: bool, align: int = 1) -> None:
+    """Run ``fn(0, n)`` with numpy's floating-point errors ignored; ``fn``
+    checks what it writes. A float32 op that its caller marks large, with a
+    second core free, runs ``fn(half, n)`` on the worker thread and
+    ``fn(0, half)`` here, where ``half`` is ``n // 2`` rounded down to a
+    multiple of ``align``, and returns once both halves have finished. Both
+    halves run under the calling thread's finiteness checks, which do not
+    reach the worker by themselves."""
+    checks = _STATE.checks
+
+    def part(lo, hi):
+        _STATE.checks = checks
+        with np.errstate(all="ignore"):
+            fn(lo, hi)
+
+    if not (dtype == np.float32 and large and _second_core_free()):
+        part(0, n)
         return
     half = n // 2 // align * align
-    future = _split_worker().submit(_as_caller, np.geterr(), _STATE.checks, fn, half, n)
+    future = _split_worker().submit(part, half, n)
     try:
-        fn(0, half)
+        part(0, half)
     finally:
         future.result()
 
@@ -577,9 +582,7 @@ def matmul(x: Tensor, weight: Tensor, bias: Tensor, axis: int) -> Tensor:
             np.matmul(w[lo:hi], x_in, out=block)
             block += bias.data[lo:hi, None]
             _check_finite(block, "matmul")
-    with np.errstate(over="ignore", invalid="ignore"):
-        _by_halves(features, out_dim,
-                   y.dtype == np.float32 and gemm_macs >= _SPLIT_MIN_MACS)
+    _by_halves(features, out_dim, y.dtype, gemm_macs >= _SPLIT_MIN_MACS)
     out = Tensor._wrap(y.reshape(out_shape))
     x_shape = x.shape
     # as in mul, no dx for an input that needs no gradient, such as the image
@@ -665,23 +668,15 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
         raise ShapeError(
             f"narrow [{start}:{start + length}) out of bounds for extent {x.shape[axis]}"
         )
-    # (outer, extent, inner) around the narrowed axis; ranges of outer may split
-    outer, inner = math.prod(x.shape[:axis]), math.prod(x.shape[axis + 1:])
-    x_3d = x.data.reshape(outer, x.shape[axis], inner)
-    y = np.empty((outer, length, inner), x.dtype)
-
-    def slabs(lo, hi):
-        y[lo:hi] = x_3d[lo:hi, start:start + length]
-        _check_finite(y[lo:hi], "narrow")
-
-    _by_halves(slabs, outer, y.dtype == np.float32 and y.size >= _SPLIT_MIN_ELEMENTS)
-    out = Tensor._wrap(y.reshape(x.shape[:axis] + (length,) + x.shape[axis + 1:]))
-    in_shape, in_3d, out_3d = x.shape, x_3d.shape, y.shape
+    index = (slice(None),) * axis + (slice(start, start + length),)
+    # checked once copied: a check of the strided slice itself was slower
+    out = Tensor._make(x.data[index].copy(), "narrow")
+    in_shape = x.shape
 
     def vjp(g):
-        full = np.zeros(in_3d, dtype=g.dtype)
-        full[:, start:start + length] = g.reshape(out_3d)
-        return (full.reshape(in_shape),)
+        full = np.zeros(in_shape, dtype=g.dtype)
+        full[index] = g
+        return (full,)
 
     return _record(out, (x,), vjp)
 
@@ -753,8 +748,7 @@ def _gelu32(x: np.ndarray, with_factor: bool) -> tuple[np.ndarray, np.ndarray | 
                           scratch[0, :size], with_factor)
             _check_finite(flat_out[start:stop], "gelu")
 
-    with np.errstate(over="ignore", under="ignore"):
-        _by_halves(elements, flat_x.size, flat_x.size >= _SPLIT_MIN_ELEMENTS)
+    _by_halves(elements, flat_x.size, x.dtype, flat_x.size >= _SPLIT_MIN_ELEMENTS)
     return out, factor
 
 
@@ -885,9 +879,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, axis: int = -1) -> Tensor:
         _check_finite(y_part, "layer_norm")
 
     # a cut on a multiple of 16 rows keeps _weighted_sum's gemv bitwise
-    with np.errstate(over="ignore", invalid="ignore"):
-        _by_halves(rows, len(folded), axis == -1 and y.dtype == np.float32
-                   and y.size >= _SPLIT_MIN_ELEMENTS, align=16)
+    _by_halves(rows, len(folded), y.dtype, axis == -1 and y.size >= _SPLIT_MIN_ELEMENTS,
+               align=16)
     out = Tensor._wrap(y.reshape(x.shape))
     x_shape = x.shape
     gain_average = gain.data / n
@@ -926,8 +919,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     Heads are split and joined as strided views of the (B, L, D) arrays, so
     nothing is copied into a head-major layout. One recorded op; its vjp
     returns dq, dk and dv in (B, L, D) layout. It counts 2 * B * L^2 * D
-    MACs: the logits and the weighted sum of values. With at least two heads
-    and 2^25 MACs, the forward may run as two halves of the heads.
+    MACs: the logits and the weighted sum of values. In float32, with at
+    least two heads and 2^25 MACs, the forward may run as two halves of the
+    heads.
     """
     if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
         raise ShapeError(f"attention needs equal (B, L, D) operands, got "
@@ -957,8 +951,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         np.matmul(w, v_h[:, lo:hi], out=y_h[:, lo:hi])
         _check_finite(y_h[:, lo:hi], "attention")
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        _by_halves(head_range, heads, heads >= 2 and macs >= _SPLIT_MIN_MACS)
+    _by_halves(head_range, heads, y.dtype, heads >= 2 and macs >= _SPLIT_MIN_MACS)
     out = Tensor._wrap(y)
 
     def vjp(g):

@@ -43,11 +43,26 @@ def checkpoint_name(step: int) -> str:
     return f"checkpoint_{step:06d}.lmlp"
 
 
+def _row_step(log_path: Path, number: int, line: str) -> int:
+    """The step of a complete ``<step>,<loss>`` row, line ``number`` of the log."""
+    try:
+        step, loss = line.split(",")
+        float(loss)
+        return int(step)
+    except ValueError:
+        raise ValueError(f"{log_path}, line {number}: {line.rstrip()!r} is not "
+                         f"a <step>,<loss> row") from None
+
+
 def _truncate_log(log_path: Path, step: int) -> None:
-    """Keep the header and the complete rows of steps before ``step``."""
+    """Keep the header and the complete rows of steps before ``step``; refuse
+    a log whose header or complete rows are malformed."""
     lines = log_path.read_text().splitlines(keepends=True)
-    kept = [line for line in lines[1:]
-            if line.endswith("\n") and int(line.split(",", 1)[0]) < step]
+    if lines and lines[0] != LOG_HEADER + "\n":
+        raise ValueError(f"{log_path}, line 1: {lines[0].rstrip()!r} is not "
+                         f"the header {LOG_HEADER!r}")
+    kept = [line for number, line in enumerate(lines[1:], 2)
+            if line.endswith("\n") and _row_step(log_path, number, line) < step]
     if len(kept) < len(lines) - 1:
         with atomic_open(log_path) as out:
             out.write("".join(lines[:1] + kept).encode())
@@ -78,8 +93,11 @@ def run_training(config: RunConfig, resume: str | None = None) -> TrainResult:
     Each step runs through ``tensor._checked_once``: its loss and flat
     gradient are checked once, before its log row and update, and a failed
     check replays the step from a zeroed gradient and its own generator,
-    which raises ``NonFiniteError`` naming the step and the op. Parameters,
-    moments, log and checkpoints then stay as the previous step left them.
+    which raises ``NonFiniteError`` naming the step and the op. The gradient
+    check is its float32 sum of squares, one dot product, so an entry whose
+    square overflows, and would make AdamW's second moment infinite, fails
+    it too. Parameters, moments, log and checkpoints then stay as the
+    previous step left them.
     A non-finite forward value that no vjp reads and the loss does not
     reach is no error.
     """
@@ -128,7 +146,8 @@ def run_training(config: RunConfig, resume: str | None = None) -> TrainResult:
             step_loss = T._checked_once(
                 f"training step {step}", _step_gradient,
                 (model, optimizer, config, x0_all, captions, sched, step),
-                lambda loss: math.isfinite(loss) and np.isfinite(optimizer.grad).all())
+                lambda loss: math.isfinite(loss) and math.isfinite(float(
+                    optimizer.grad @ optimizer.grad)))
             optimizer.step(warmup_lr(config.learning_rate, step, config.warmup_steps))
             losses.append(step_loss)
             print(f"{step},{step_loss!r}", file=log)

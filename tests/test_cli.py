@@ -195,6 +195,14 @@ class TestTrainCommand:
         assert main(["train", "--config", str(path)]) == 0
         assert (tmp_path / "c" / checkpoint_name(1)).exists()
 
+    def test_malformed_loss_log_exits_1_naming_the_line(self, tmp_path, capsys):
+        out_dir = tmp_path / "t"
+        out_dir.mkdir()
+        (out_dir / "loss_log.csv").write_text("step,loss\n0,1.5\n\n")
+        assert main(["train", "--train-steps", "1", "--out-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err == (f"error: {out_dir / 'loss_log.csv'}, line 3: "
+                                           "'' is not a <step>,<loss> row\n")
+
     def test_bad_config_key_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("[run]\nbananas = 1\n")

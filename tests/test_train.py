@@ -1,6 +1,8 @@
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +74,22 @@ class TestTraining:
         steps = [int(line.split(",")[0]) for line in text.splitlines()[1:]]
         assert steps == [0, 1, 2, 3, 4]
         assert text == first
+
+    @pytest.mark.parametrize("text, line", [
+        (f"{LOG_HEADER}\n0,1.5\n\n", 3),
+        (f"{LOG_HEADER}\nfoo,1\n", 2),
+        (f"{LOG_HEADER}\n0,1.5,2\n", 2),
+        ("steps,loss\n0,1.5\n", 1),
+    ], ids=["blank_row", "bad_step", "three_fields", "bad_header"])
+    def test_malformed_log_is_refused_naming_its_line(self, tmp_path, text, line):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / LOG_NAME).write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(run_dir / LOG_NAME))}, "
+                                             f"line {line}: "):
+            run_training(tiny_config(run_dir, train_steps=1))
+        assert (run_dir / LOG_NAME).read_text() == text
+        assert [path.name for path in run_dir.iterdir()] == [LOG_NAME]
 
     def test_rerun_into_same_directory_starts_a_new_log(self, tmp_path):
         config = tiny_config(tmp_path / "again", train_steps=3)
@@ -152,11 +170,45 @@ class TestNonFiniteStep:
         assert {path.name: path.read_bytes() for path in run_dir.iterdir()} == files
         assert T._STATE.checks
 
+    def test_gradient_whose_square_overflows_is_refused_before_the_update(
+            self, tmp_path, monkeypatch):
+        """A finite gradient entry of 1e20 would make AdamW's second moment
+        infinite; the step check refuses it before the update, with no numpy
+        warning, and the run stays as the step before left it."""
+        run_dir = tmp_path / "run"
+        run_training(tiny_config(run_dir, train_steps=2, checkpoint_every=1))
+        files = {path.name: path.read_bytes() for path in run_dir.iterdir()}
+        snapshot = load_checkpoint(run_dir / checkpoint_name(2))
+        step_gradient, built = train._step_gradient, []
+
+        def huge_entry(model, optimizer, *args):
+            loss = step_gradient(model, optimizer, *args)
+            optimizer.grad[0] = 1e20
+            return loss
+
+        monkeypatch.setattr(train, "_step_gradient", huge_entry)
+        monkeypatch.setattr(train, "AdamW", lambda *args, **kwargs: built.append(
+            AdamW(*args, **kwargs)) or built[-1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(T.NonFiniteError,
+                               match="^training step 2 produced a non-finite value$"):
+                run_training(tiny_config(run_dir, train_steps=3, checkpoint_every=1),
+                             resume=run_dir / checkpoint_name(2))
+        optimizer, = built
+        assert optimizer.step_count == 2
+        assert np.array_equal(optimizer.flat, np.concatenate(
+            [a.reshape(-1) for a in snapshot.params.values()]))
+        for name, stored in (("m", snapshot.opt_exp_avg), ("v", snapshot.opt_exp_avg_sq)):
+            assert np.array_equal(getattr(optimizer, name),
+                                  np.concatenate([a.reshape(-1) for a in stored])), name
+        assert {path.name: path.read_bytes() for path in run_dir.iterdir()} == files
+
     def test_desk_step_checks_finiteness_once(self, tmp_path, monkeypatch):
         """An F2 desk step (B=32, L=21, D=64) checks the loss and flat
-        gradient, not each op's result: np.isfinite, which every full-array
-        check calls, runs once per step, where the per-op checks ran it 286
-        times."""
+        gradient, not each op's result: the gradient check is one dot
+        product, so np.isfinite, which every full-array check calls, runs at
+        most twice per step, where the per-op checks ran it 286 times."""
         calls, stamps, step = count_isfinite(monkeypatch), [], AdamW.step
 
         def stamped(self, lr):
