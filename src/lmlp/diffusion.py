@@ -132,12 +132,28 @@ def cfg_eps(model, x_t: Tensor, text_ids: np.ndarray, t, omega: float) -> Tensor
 
     Affine in omega; omega = 0 returns the conditional branch itself, without
     running the unconditional one, and omega = -1 the unconditional one.
+
+    Outside recording (under ``no_grad``, as in ``sample``), the
+    unconditional forward runs on the worker thread beside the conditional
+    one when ``tensor._submit`` takes it, and serially after it otherwise.
+    Each forward runs the same ops in the same order either way, so the
+    result is bitwise the serial one, and an error in the conditional
+    forward is the one raised. A recorded call always runs serially, so its
+    graph nodes keep their order.
     """
-    cond = model.forward(x_t, text_ids, t)
     if omega == 0:
-        return cond
-    uncond = model.forward(x_t, np.full_like(np.asarray(text_ids), dataset.NULL_ID), t)
-    return cond * (1.0 + omega) - uncond * omega
+        return model.forward(x_t, text_ids, t)
+    null_ids = np.full_like(np.asarray(text_ids), dataset.NULL_ID)
+
+    def cond():
+        return model.forward(x_t, text_ids, t)
+
+    def uncond():
+        return model.forward(x_t, null_ids, t)
+
+    join = None if T._STATE.grad_enabled else T._submit(uncond)
+    eps_c, eps_u = (cond(), uncond()) if join is None else T._join_after(cond, join)
+    return eps_c * (1.0 + omega) - eps_u * omega
 
 
 # ---------------------------------------------------------------------------

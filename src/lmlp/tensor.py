@@ -31,12 +31,14 @@ value is read by some vjp, where 0 * inf = NaN, but the tokens that
 ``narrow`` drops before the sampler's head are such a value.
 
 Grad mode (``no_grad``), the finiteness checks and MAC counters
-(``count_macs``) are per thread. Four kinds of float32 op may run as two
-halves: one on the calling thread and one on a single worker thread, which
-only calls numpy. That happens only when the process may run on two CPUs
-and numpy's OpenBLAS runs on one thread (``OPENBLAS_NUM_THREADS=1``): an
+(``count_macs``) are per thread. One worker thread takes work beside the
+calling thread through ``_submit``, one job at a time: a whole job, such as
+the unconditional forward of a guided sampler step, or the upper half of a
+large op. That happens only when the process may run on two CPUs and
+numpy's OpenBLAS runs on one thread (``OPENBLAS_NUM_THREADS=1``): an
 OpenBLAS with threads of its own already uses the second core, and
-splitting on top of it was slower. The split ops and their halves:
+splitting on top of it was slower. Four kinds of float32 op may run as two
+halves, one on each thread:
 
 - ``matmul`` of at least 2^25 MACs in one GEMM: output-column blocks;
 - ``attention`` of at least two heads and 2^25 MACs: head ranges;
@@ -45,11 +47,12 @@ splitting on top of it was slower. The split ops and their halves:
   blocks, cut on a multiple of 16 rows.
 
 The results are bitwise those of the serial op. Each half does its op's
-whole job on its part, bias add and finiteness check included, and the
-worker's half runs under the calling thread's finiteness checks. Desk-scale
-ops stay below every size, desk attention has one head, and the backward
-ops always run serially. Importing the module starts no thread; the worker
-starts with the first split op.
+whole job on its part, bias add and finiteness check included, and every
+job runs under the calling thread's grad mode, finiteness checks and numpy
+error state. An op that asks while the worker holds a job runs whole.
+Desk-scale ops stay below every size, desk attention has one head, and the
+backward ops always run serially. Importing the module starts no thread;
+the worker starts with the first job.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ import itertools
 import math
 import os
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -162,10 +165,14 @@ def _checked_once(what: str, step, args: tuple, finite):
     test runs unchecked too, so an overflow in it is a rejection, not a
     warning. Otherwise the step runs again from ``args`` with every op
     checked, and the ``NonFiniteError`` raised names ``what`` and the
-    replay's op error."""
+    replay's op error. A ``NonFiniteError`` that ``finite`` raises names a
+    cause no op has and is raised under ``what`` without a replay."""
     with _unchecked():
         result = step(*args)
-        accepted = finite(result)
+        try:
+            accepted = finite(result)
+        except NonFiniteError as exc:
+            raise NonFiniteError(f"{what}: {exc}") from exc
     if accepted:
         return result
     try:
@@ -176,7 +183,7 @@ def _checked_once(what: str, step, args: tuple, finite):
 
 
 # ---------------------------------------------------------------------------
-# a second core for large ops
+# a second core: one worker thread for whole jobs and halves of large ops
 # ---------------------------------------------------------------------------
 
 # Work from which a float32 op runs as two halves on two threads. Measured on
@@ -223,13 +230,14 @@ def _blas_thread_query():
 
 
 def _second_core_free() -> bool:
-    """Whether a large op may take a second thread: the process may run on
-    two CPUs and OpenBLAS runs on one thread. With OpenBLAS on two threads,
-    a 334x512x2048 float32 GEMM took 6.3-6.5 ms whole and 6.8-7.6 ms split
-    over two threads on top (2-core x86_64, medians of 60 calls). It does
-    not look at load: beside a test run the split 334x512->2048 dense layer
-    took 9.3-10.2 ms against 4.3 ms quiet, but no serial run was measured to
-    beat it there, and a load reading is stale by the time the halves run."""
+    """Whether the worker may take a job, a whole one or a large op's half:
+    the process may run on two CPUs and OpenBLAS runs on one thread. With
+    OpenBLAS on two threads, a 334x512x2048 float32 GEMM took 6.3-6.5 ms
+    whole and 6.8-7.6 ms split over two threads on top (2-core x86_64,
+    medians of 60 calls). It does not look at load: beside a test run the
+    split 334x512->2048 dense layer took 9.3-10.2 ms against 4.3 ms quiet,
+    but no serial run was measured to beat it there, and a load reading is
+    stale by the time the halves run."""
     if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
         return False
     query = _blas_thread_query()
@@ -237,9 +245,10 @@ def _second_core_free() -> bool:
 
 
 def _forget_worker() -> None:
-    """Drop the worker thread; a forked child has none of its parent's threads."""
-    global _worker, _worker_lock
-    _worker, _worker_lock = None, threading.Lock()
+    """Drop the worker thread and free its slot; a forked child has none of
+    its parent's threads."""
+    global _worker, _worker_lock, _worker_slot
+    _worker, _worker_lock, _worker_slot = None, threading.Lock(), threading.Lock()
 
 
 _forget_worker()
@@ -258,30 +267,75 @@ def _split_worker():
         return _worker
 
 
+def _submit(fn):
+    """Start ``fn()`` on the worker thread and return ``join``, or return
+    None, and start nothing, unless a second core is free and the worker
+    holds no job; the caller then runs its serial form. The worker's one
+    slot is taken without waiting and freed by ``join``, and every job the
+    worker runs holds it, so work submitted from inside a job, whether on
+    the worker or on the thread that will join it, runs on its own thread.
+
+    ``fn`` runs under the calling thread's grad mode, finiteness checks and
+    numpy error state. ``join()`` waits for ``fn``, adds the MACs it counted
+    to the calling thread's open ``count_macs`` counters and returns its
+    result or raises its error. Call it exactly once, through
+    ``_join_after``, also when the caller's own work raised. No job may
+    record a graph node: recording order is execution order."""
+    if not _second_core_free() or not _worker_slot.acquire(blocking=False):
+        return None
+    grad_enabled, checks, errors = _STATE.grad_enabled, _STATE.checks, np.geterr()
+
+    def job():
+        _STATE.grad_enabled, _STATE.checks = grad_enabled, checks
+        with np.errstate(**errors), count_macs() as counter:
+            return fn(), counter.total
+
+    try:
+        future = _split_worker().submit(job)
+    except BaseException:
+        _worker_slot.release()
+        raise
+
+    def join():
+        try:
+            result, macs = future.result()
+        finally:
+            _worker_slot.release()
+        _note_macs(macs)
+        return result
+
+    return join
+
+
+def _join_after(here, join):
+    """``(here(), join())``. ``join`` runs also when ``here`` raises, and
+    then ``here``'s error wins, as it would when run first serially."""
+    try:
+        mine = here()
+    except BaseException:
+        with suppress(BaseException):
+            join()
+        raise
+    return mine, join()
+
+
 def _by_halves(fn, n: int, dtype, large: bool, align: int = 1) -> None:
     """Run ``fn(0, n)`` with numpy's floating-point errors ignored; ``fn``
-    checks what it writes. A float32 op that its caller marks large, with a
-    second core free, runs ``fn(half, n)`` on the worker thread and
+    checks what it writes. A float32 op that its caller marks large, when
+    ``_submit`` takes work, runs ``fn(half, n)`` on the worker thread and
     ``fn(0, half)`` here, where ``half`` is ``n // 2`` rounded down to a
-    multiple of ``align``, and returns once both halves have finished. Both
-    halves run under the calling thread's finiteness checks, which do not
-    reach the worker by themselves."""
-    checks = _STATE.checks
+    multiple of ``align``, and returns once both halves have finished."""
 
     def part(lo, hi):
-        _STATE.checks = checks
         with np.errstate(all="ignore"):
             fn(lo, hi)
 
-    if not (dtype == np.float32 and large and _second_core_free()):
-        part(0, n)
-        return
     half = n // 2 // align * align
-    future = _split_worker().submit(part, half, n)
-    try:
-        part(0, half)
-    finally:
-        future.result()
+    join = _submit(lambda: part(half, n)) if dtype == np.float32 and large else None
+    if join is None:
+        part(0, n)
+    else:
+        _join_after(lambda: part(0, half), join)
 
 
 # ---------------------------------------------------------------------------

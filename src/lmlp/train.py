@@ -87,6 +87,17 @@ def _step_gradient(model, optimizer: AdamW, config: RunConfig, x0_all: np.ndarra
     return step_loss / config.grad_accumulation
 
 
+def _gradient_finite(grad: np.ndarray) -> bool:
+    """Whether the flat gradient and its float32 sum of squares, one dot
+    product, are finite; raises ``NonFiniteError`` when only the sum
+    overflows, a cause that no op of the step has."""
+    if math.isfinite(float(grad @ grad)):
+        return True
+    if np.isfinite(grad).all():
+        raise T.NonFiniteError("the gradient's float32 sum of squares overflows")
+    return False
+
+
 def run_training(config: RunConfig, resume: str | None = None) -> TrainResult:
     """Train per the config; write loss log and periodic checkpoints to out_dir.
 
@@ -96,8 +107,8 @@ def run_training(config: RunConfig, resume: str | None = None) -> TrainResult:
     which raises ``NonFiniteError`` naming the step and the op. The gradient
     check is its float32 sum of squares, one dot product, so an entry whose
     square overflows, and would make AdamW's second moment infinite, fails
-    it too. Parameters, moments, log and checkpoints then stay as the
-    previous step left them.
+    it too; that failure is named as such, without a replay. Parameters,
+    moments, log and checkpoints then stay as the previous step left them.
     A non-finite forward value that no vjp reads and the loss does not
     reach is no error.
     """
@@ -146,8 +157,7 @@ def run_training(config: RunConfig, resume: str | None = None) -> TrainResult:
             step_loss = T._checked_once(
                 f"training step {step}", _step_gradient,
                 (model, optimizer, config, x0_all, captions, sched, step),
-                lambda loss: math.isfinite(loss) and math.isfinite(float(
-                    optimizer.grad @ optimizer.grad)))
+                lambda loss: math.isfinite(loss) and _gradient_finite(optimizer.grad))
             optimizer.step(warmup_lr(config.learning_rate, step, config.warmup_steps))
             losses.append(step_loss)
             print(f"{step},{step_loss!r}", file=log)

@@ -1,4 +1,5 @@
-"""Shared test oracles: central finite differences and gradient comparison."""
+"""Shared test oracles: central finite differences and gradient comparison,
+and switches for the worker thread."""
 
 import numpy as np
 
@@ -64,3 +65,12 @@ def count_isfinite(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(np, "isfinite", counted)
     return calls
+
+
+def force_split(monkeypatch, on):
+    """Let the worker thread take jobs (``on``) or not, whatever the BLAS
+    thread count; the returned list grows by one each time a large op or a
+    guided sampler step asks whether it may hand work over."""
+    asked = []
+    monkeypatch.setattr(T, "_second_core_free", lambda: asked.append(1) or on)
+    return asked

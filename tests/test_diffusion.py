@@ -1,10 +1,11 @@
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import check_gradients, count_isfinite
-from lmlp import diffusion, tensor as T
+from helpers import check_gradients, count_isfinite, force_split
+from lmlp import dataset, diffusion, tensor as T
 from lmlp.backbone import BackboneConfig, build_model
 from lmlp.config import RunConfig
 from lmlp.diffusion import (
@@ -380,3 +381,111 @@ class TestSampler:
         sample(model, ids, sched, SamplerConfig(5), 1.0, 0)
         per_step = np.diff(stamps)
         assert (per_step == per_step[0]).all() and per_step[0] <= 1, per_step
+
+
+def desk_captions(count=30):
+    """``count`` captions of the desk vocabulary, none of them null."""
+    return np.arange(count * 4).reshape(count, 4) % (dataset.VOCAB_SIZE - 1) + 1
+
+
+class TestTwoCoreGuidance:
+    """With the worker free, a guided step runs its unconditional forward
+    there, beside the conditional one, and changes no result."""
+
+    @staticmethod
+    def guided(model, sched, steps=3):
+        """A guided desk sample of 30 captions and the MACs it counted."""
+        with T.count_macs() as counter:
+            out = sample(model, desk_captions(), sched, SamplerConfig(steps), 1.0, 0)
+        return out.data, counter.total
+
+    @pytest.mark.parametrize("preset", ["F2", "A3", "TRANSFORMER"])
+    def test_guided_desk_sample_is_bitwise_the_serial_one(self, sched, monkeypatch, preset):
+        model = build_model(RunConfig(preset=preset).backbone_config(), 36,
+                            dtype=np.float32)
+        force_split(monkeypatch, False)
+        serial, serial_macs = self.guided(model, sched)
+        asked = force_split(monkeypatch, True)
+        both, macs = self.guided(model, sched)
+        assert len(asked) == 3
+        assert np.array_equal(both, serial)
+        assert macs == serial_macs
+
+    def test_ops_that_ask_inside_either_forward_run_whole(self, sched, monkeypatch):
+        """With every float32 op large enough to split, a guided sample
+        neither deadlocks nor nests a split: each step hands the worker its
+        unconditional forward and nothing else."""
+        monkeypatch.setattr(T, "_SPLIT_MIN_MACS", 1)
+        monkeypatch.setattr(T, "_SPLIT_MIN_ELEMENTS", 1)
+        model = build_model(RunConfig(preset="A3").backbone_config(), 37, dtype=np.float32)
+        force_split(monkeypatch, False)
+        serial = self.guided(model, sched)
+        asked = force_split(monkeypatch, True)
+        submit, handed, results = T._submit, [], []
+
+        def counted(fn):
+            join = submit(fn)
+            handed.append(join is not None)
+            return join
+
+        monkeypatch.setattr(T, "_submit", counted)
+        thread = threading.Thread(target=lambda: results.append(self.guided(model, sched)),
+                                  daemon=True)
+        thread.start()
+        thread.join(120)
+        assert not thread.is_alive(), "the two-core guided sample hung"
+        (both, macs), = results
+        assert handed.count(True) == 3 and len(asked) > 3
+        assert np.array_equal(both, serial[0])
+        assert macs == serial[1]
+
+    # (caption row, null row): 3e38 overflows in an add; NaN fails its lookup
+    @pytest.mark.parametrize("caption_row, null_row", [
+        (3e38, None), (None, 3e38), (3e38, np.nan),
+    ], ids=["caption", "null", "caption_then_earlier_null"])
+    def test_poisoned_embedding_row_raises_the_serial_error(self, sched, monkeypatch,
+                                                            caption_row, null_row):
+        """The replayed step names the same op as the serial one. In the last
+        case the worker's forward fails first in time, at the null row's
+        lookup, but the conditional forward's error is the one raised."""
+        model = build_model(RunConfig().backbone_config(), 38, dtype=np.float32)
+        table = model.text_embed.table.data
+        if caption_row is not None:
+            table[desk_captions()[0, 0]] = caption_row
+        if null_row is not None:
+            table[dataset.NULL_ID] = null_row
+
+        def raised():
+            with pytest.raises(T.NonFiniteError) as info:
+                self.guided(model, sched)
+            return str(info.value), str(info.value.__cause__)
+
+        force_split(monkeypatch, False)
+        serial = raised()
+        asked = force_split(monkeypatch, True)
+        assert raised() == serial == (
+            "sampling step 0 (t=999): add produced a non-finite value",
+            "add produced a non-finite value")
+        assert len(asked) == 2  # the unchecked step and its replay
+
+    def test_recorded_cfg_eps_runs_serially(self, monkeypatch):
+        model = build_model(RunConfig().backbone_config(), 39, dtype=np.float32)
+        rng = np.random.default_rng(40)
+        x = Tensor(rng.standard_normal((4, 1, 8, 8)).astype(np.float32))
+        g = Tensor(rng.standard_normal((4, 1, 8, 8)).astype(np.float32))
+        params = [p for _, p in model.named_parameters()]
+
+        def grads():
+            for p in params:
+                p.zero_grad()
+            (cfg_eps(model, x, desk_captions(4), np.full(4, 500), 1.0) * g).sum().backward()
+            return [p.grad.copy() for p in params]
+
+        force_split(monkeypatch, False)
+        serial = grads()
+        force_split(monkeypatch, True)
+        submitted = []
+        monkeypatch.setattr(T, "_submit", lambda fn: submitted.append(fn))
+        recorded = grads()
+        assert submitted == []
+        assert all(np.array_equal(a, b) for a, b in zip(recorded, serial))

@@ -1,6 +1,7 @@
 import math
 import os
 import signal
+import sys
 import threading
 import time
 import warnings
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from helpers import check_gradients, fd_gradient, max_rel_error
+from helpers import check_gradients, fd_gradient, force_split, max_rel_error
 from lmlp import tensor as T
 
 
@@ -743,14 +744,6 @@ class TestThreadState:
             T.Tensor([np.nan])
 
 
-def force_split(monkeypatch, on):
-    """Switch the two-thread split of large ops on or off; the returned list
-    grows by one each time a large op asks whether to split."""
-    asked = []
-    monkeypatch.setattr(T, "_second_core_free", lambda: asked.append(1) or on)
-    return asked
-
-
 @pytest.fixture
 def one_blas_thread():
     """OpenBLAS on one thread for the test, the only setting in which ops
@@ -1022,7 +1015,8 @@ class TestSplit:
     def test_desk_training_and_sampling_steps_never_split(self, monkeypatch, preset):
         """At the desk defaults (B=32, L=21, D=64, float32) no op of a training
         step, forward and backward, or of a guided sampler step is large
-        enough to ask for the second core."""
+        enough to ask for the second core. A guided sampler step asks once,
+        to run its unconditional forward on the worker."""
         from lmlp.backbone import build_model
         from lmlp.config import RunConfig
         from lmlp.diffusion import SamplerConfig, sample, training_loss
@@ -1036,19 +1030,20 @@ class TestSplit:
         ids = rng.integers(1, 5, (batch, config.text_tokens))
         asked = force_split(monkeypatch, True)
         training_loss(model, x0, ids, sched, config.caption_keep_prob, rng).backward()
-        sample(model, ids, sched, SamplerConfig(num_steps=1), config.guidance_scale, 0)
         assert asked == []
+        submit, submitted = T._submit, []
+        monkeypatch.setattr(T, "_submit", lambda fn: submitted.append(1) or submit(fn))
+        sample(model, ids, sched, SamplerConfig(num_steps=3), config.guidance_scale, 0)
+        assert len(asked) == len(submitted) == 3  # cfg_eps's asks only, one a step
 
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_runs_a_split_op(self, monkeypatch):
-        force_split(monkeypatch, True)
-        x = f32(np.ones(T._SPLIT_MIN_ELEMENTS))
-        T.gelu(x)                                    # the parent's worker now runs
+    @staticmethod
+    def in_forked_child(child):
+        """Run ``child()`` in a forked child; assert it returned within 30 s."""
         pid = os.fork()
         if pid == 0:
             code = 1
             try:
-                T.gelu(x)
+                child()
                 code = 0
             finally:
                 os._exit(code)
@@ -1060,3 +1055,126 @@ class TestSplit:
             os.waitpid(pid, 0)
         assert done[0] == pid, "the forked child hung"
         assert os.waitstatus_to_exitcode(done[1]) == 0
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_runs_a_split_op(self, monkeypatch):
+        force_split(monkeypatch, True)
+        x = f32(np.ones(T._SPLIT_MIN_ELEMENTS))
+        T.gelu(x)                                    # the parent's worker now runs
+        self.in_forked_child(lambda: T.gelu(x))
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_submits_while_the_parents_worker_holds_a_job(self, monkeypatch):
+        force_split(monkeypatch, True)
+        release = threading.Event()
+        join = T._submit(lambda: release.wait(30))
+
+        def child():
+            child_join = T._submit(lambda: 7)
+            assert child_join is not None and child_join() == 7
+
+        try:
+            self.in_forked_child(child)
+        finally:
+            release.set()
+            assert join() is True
+
+    def test_submit_starts_nothing_without_a_free_core(self, monkeypatch):
+        asked = force_split(monkeypatch, False)
+        ran = []
+        assert T._submit(lambda: ran.append(1)) is None
+        assert asked == [1] and ran == []
+
+    def test_submit_takes_one_job_and_none_from_the_worker(self, monkeypatch):
+        """While the worker holds a job, neither the caller nor the job itself
+        can hand it another; joining frees the worker for the next one."""
+        asked = force_split(monkeypatch, True)
+        release, from_job = threading.Event(), []
+
+        def job():
+            from_job.append(T._submit(lambda: "nested"))
+            release.wait(30)
+            return "first"
+
+        join = T._submit(job)
+        try:
+            assert T._submit(lambda: "second") is None
+        finally:
+            release.set()
+        assert join() == "first"
+        assert from_job == [None]
+        assert T._submit(lambda: "third")() == "third"
+        assert len(asked) == 4
+
+    def test_submit_from_more_threads_than_cores_hands_over_one_job_at_a_time(
+            self, monkeypatch):
+        force_split(monkeypatch, True)
+        lock, holders, peak, handed, wrong = threading.Lock(), [0], [0], [0], []
+
+        def caller(k):
+            for i in range(300):
+                join = T._submit(lambda: (k, i))  # joined before i moves on
+                if join is None:
+                    continue
+                with lock:
+                    holders[0] += 1
+                    peak[0] = max(peak[0], holders[0])
+                    handed[0] += 1
+                time.sleep(0)
+                with lock:
+                    holders[0] -= 1
+                if join() != (k, i):
+                    wrong.append((k, i))
+
+        threads = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert peak[0] == 1 and handed[0] > 0 and wrong == []
+
+    def test_submitted_job_runs_under_the_callers_thread_state(self, monkeypatch):
+        force_split(monkeypatch, True)
+        w, b = dense_params(2, 5, 63)
+        x, caller, seen = rand((3, 5), 64), threading.current_thread(), []
+
+        def job():
+            seen.append((threading.current_thread() is caller, T._STATE.grad_enabled,
+                         T._STATE.checks, np.geterr()))
+            return T.matmul(x, w, b, -1)
+
+        with T.count_macs() as outer:
+            with T.no_grad(), T._unchecked(), T.count_macs() as inner:
+                errors = np.geterr()
+                join = T._submit(job)
+                out = join()
+                assert inner.total == 3 * 5 * 2  # added by the join
+        assert seen == [(False, False, False, errors)]
+        assert out._node is None
+        assert outer.total == 3 * 5 * 2
+        assert T._STATE.grad_enabled and T._STATE.checks
+
+    def test_join_after_always_joins_and_the_callers_error_wins(self, monkeypatch):
+        force_split(monkeypatch, True)
+        finished = threading.Event()
+
+        def fail(message):
+            raise T.NonFiniteError(message)
+
+        def late_failure():
+            time.sleep(0.2)
+            finished.set()
+            fail("worker")
+
+        with pytest.raises(T.NonFiniteError, match="^caller$"):
+            T._join_after(lambda: fail("caller"), T._submit(late_failure))
+        assert finished.is_set()
+        with pytest.raises(T.NonFiniteError, match="^worker$"):
+            T._join_after(lambda: "here", T._submit(lambda: fail("worker")))
+        assert T._join_after(lambda: "here", T._submit(lambda: "there")) == ("here", "there")

@@ -192,7 +192,8 @@ class TestNonFiniteStep:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(T.NonFiniteError,
-                               match="^training step 2 produced a non-finite value$"):
+                               match="^training step 2: the gradient's float32 sum of "
+                                     "squares overflows$"):
                 run_training(tiny_config(run_dir, train_steps=3, checkpoint_every=1),
                              resume=run_dir / checkpoint_name(2))
         optimizer, = built
