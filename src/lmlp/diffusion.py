@@ -8,6 +8,8 @@ recovered as -eps / sigma_t where sigma_t = sqrt(1 - alpha_bar_t).
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,28 +133,22 @@ def cfg_eps(model, x_t: Tensor, text_ids: np.ndarray, t, omega: float) -> Tensor
     """Guided prediction (1 + omega) * eps(cond) - omega * eps(uncond).
 
     Affine in omega; omega = 0 returns the conditional branch itself, without
-    running the unconditional one, and omega = -1 the unconditional one.
-
-    Outside recording (under ``no_grad``, as in ``sample``), the
-    unconditional forward runs on the worker thread beside the conditional
-    one when ``tensor._submit`` takes it, and serially after it otherwise.
-    Each forward runs the same ops in the same order either way, so the
-    result is bitwise the serial one, and an error in the conditional
-    forward is the one raised. A recorded call always runs serially, so its
-    graph nodes keep their order.
+    running the unconditional one, and omega = -1 the unconditional one. The
+    conditional forward runs first, then the unconditional one, both on the
+    calling thread. ``sample`` may run the unconditional one in a helper
+    process instead (see ``_Helper``); it mixes the two with the same ops.
     """
     if omega == 0:
         return model.forward(x_t, text_ids, t)
-    null_ids = np.full_like(np.asarray(text_ids), dataset.NULL_ID)
+    eps_c = model.forward(x_t, text_ids, t)
+    return _guide(eps_c, model.forward(x_t, _null_ids(text_ids), t), omega)
 
-    def cond():
-        return model.forward(x_t, text_ids, t)
 
-    def uncond():
-        return model.forward(x_t, null_ids, t)
+def _null_ids(text_ids) -> np.ndarray:
+    return np.full_like(np.asarray(text_ids), dataset.NULL_ID)
 
-    join = None if T._STATE.grad_enabled else T._submit(uncond)
-    eps_c, eps_u = (cond(), uncond()) if join is None else T._join_after(cond, join)
+
+def _guide(eps_c: Tensor, eps_u: Tensor, omega: float) -> Tensor:
     return eps_c * (1.0 + omega) - eps_u * omega
 
 
@@ -160,10 +156,118 @@ def cfg_eps(model, x_t: Tensor, text_ids: np.ndarray, t, omega: float) -> Tensor
 # sampling
 # ---------------------------------------------------------------------------
 
+class _Helper:
+    """A forked child process that runs the unconditional forwards of one
+    guided ``sample`` call while the parent runs the conditional ones.
+
+    The child gets the model copy-on-write when it is forked. Each step the
+    parent sends it (state, t), runs the conditional forward itself, then
+    reads back eps(uncond) and the MACs the child counted, which it adds to
+    its own open ``count_macs`` counters. The child runs each forward under
+    ``no_grad`` with the per-op checks off, as the parent's unchecked step
+    does. It holds its own worker slot, so no op splits there, and it ends
+    with ``os._exit`` when the parent's end of the pipe closes. Both
+    forwards run the same ops on the same bits as serially, so the result
+    is bitwise the serial one.
+
+    A child that fails or dies is dropped: its forward, and every later
+    one, runs in the parent, so the call returns the serial result or
+    raises the serial error. The fork is safe for lmlp's own worker thread,
+    which is idle while the call holds its slot.
+    """
+
+    def __init__(self, model, text_ids: np.ndarray):
+        from multiprocessing import Pipe
+
+        self.null_ids = _null_ids(text_ids)
+        self.conn, there = Pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            self.conn.close()
+            _serve(there, model, self.null_ids)
+        there.close()
+
+    def close(self) -> None:
+        """Close the pipe, which ends the child, and reap the child."""
+        self.conn.close()
+        os.waitpid(self.pid, 0)
+
+    def eps(self, model, state: Tensor, text_ids: np.ndarray, t: np.ndarray,
+            omega: float) -> Tensor:
+        """``cfg_eps`` for omega != 0, with the unconditional forward in the
+        child while it lives."""
+        self._exchange(self.conn.send, (state.data, t))
+        eps_c = model.forward(state, text_ids, t)
+        reply = self._exchange(self.conn.recv)
+        if reply is None:
+            return _guide(eps_c, model.forward(state, self.null_ids, t), omega)
+        eps_u, macs = reply
+        T._note_macs(macs)
+        return _guide(eps_c, Tensor._wrap(eps_u), omega)
+
+    def _exchange(self, fn, *args):
+        """``fn(*args)`` while the child lives; None, with the pipe closed,
+        once it is gone."""
+        if self.conn.closed:
+            return None
+        try:
+            return fn(*args)
+        except (EOFError, OSError):
+            self.conn.close()
+            return None
+
+
+def _serve(conn, model, null_ids: np.ndarray) -> None:
+    """The helper child's loop: one unconditional forward per request until
+    the parent's end of the pipe closes. Never returns; an error ends the
+    child without a reply."""
+    code = 1
+    try:
+        T._worker_slot.acquire()
+        with T.no_grad(), T._unchecked():
+            while True:
+                try:
+                    state, t = conn.recv()
+                except EOFError:
+                    code = 0
+                    break
+                with T.count_macs() as counter:
+                    eps_u = model.forward(Tensor._wrap(state), null_ids, t)
+                conn.send((eps_u.data, counter.total))
+    finally:
+        os._exit(code)
+
+
+@contextmanager
+def _helper_for(model, text_ids: np.ndarray, omega: float):
+    """A ``_Helper`` for one guided ``sample`` call, or None. It runs when
+    omega != 0, ``os.fork`` exists, ``tensor._second_core_free()`` holds and
+    the worker's slot is free. The slot is then held through the call, so no
+    op splits beside the two forwards, and the child is reaped on the way
+    out, also on an error."""
+    slot = T._worker_slot
+    if (omega == 0 or not hasattr(os, "fork") or not T._second_core_free()
+            or not slot.acquire(blocking=False)):
+        yield None
+        return
+    try:
+        helper = _Helper(model, text_ids)
+        try:
+            yield helper
+        finally:
+            helper.close()
+    finally:
+        slot.release()
+
+
 def _denoise(model, state: Tensor, text_ids: np.ndarray, t: np.ndarray, omega: float,
-             ratio: float, eps_scale: float) -> Tensor:
-    """One sampler update: ratio * x - eps_scale * eps_hat."""
-    eps_hat = cfg_eps(model, state, text_ids, t, omega)
+             ratio: float, eps_scale: float, helper: _Helper | None) -> Tensor:
+    """One sampler update: ratio * x - eps_scale * eps_hat. A checked replay
+    runs ``cfg_eps`` here even with a helper, so it raises the serial error."""
+    if helper is None or T._STATE.checks:
+        eps_hat = cfg_eps(model, state, text_ids, t, omega)
+    else:
+        eps_hat = helper.eps(model, state, text_ids, t, omega)
     return state * ratio - eps_hat * eps_scale
 
 
@@ -183,6 +287,11 @@ def sample(model, text_ids: np.ndarray, sched: NoiseSchedule,
     ``NonFiniteError`` naming the step, its time and the op. A non-finite
     value inside a step that does not reach the state, such as one in the
     tokens that ``narrow`` drops before the head, is no error.
+
+    A guided call (omega != 0) may run its unconditional forwards in a
+    forked helper process (``_Helper``), forked once the noise is drawn and
+    reaped before the call returns or raises. The images are bitwise the
+    serial ones.
     """
     if not np.isfinite(omega):
         raise T.UsageError(f"guidance scale must be finite, got {omega!r}")
@@ -194,7 +303,7 @@ def sample(model, text_ids: np.ndarray, sched: NoiseSchedule,
     shape = (batch, cfg.in_channels, cfg.image_side, cfg.image_side)
     x = np.random.default_rng(rng_seed).standard_normal(shape).astype(model.dtype)
     times = sampler.timesteps(sched.num_steps)
-    with T.no_grad():
+    with T.no_grad(), _helper_for(model, text_ids, omega) as helper:
         state = Tensor(x)
         for step, t in enumerate(times):
             if step + 1 < len(times):
@@ -207,7 +316,7 @@ def sample(model, text_ids: np.ndarray, sched: NoiseSchedule,
             state = T._checked_once(
                 f"sampling step {step} (t={t})", _denoise,
                 (model, state, text_ids, np.full(batch, t, dtype=int), omega,
-                 ratio, ratio * float(sched.sigmas[t]) - sigma_next),
+                 ratio, ratio * float(sched.sigmas[t]) - sigma_next, helper),
                 lambda new_state: np.isfinite(new_state.data).all())
     return state
 

@@ -31,14 +31,13 @@ value is read by some vjp, where 0 * inf = NaN, but the tokens that
 ``narrow`` drops before the sampler's head are such a value.
 
 Grad mode (``no_grad``), the finiteness checks and MAC counters
-(``count_macs``) are per thread. One worker thread takes work beside the
-calling thread through ``_submit``, one job at a time: a whole job, such as
-the unconditional forward of a guided sampler step, or the upper half of a
-large op. That happens only when the process may run on two CPUs and
-numpy's OpenBLAS runs on one thread (``OPENBLAS_NUM_THREADS=1``): an
-OpenBLAS with threads of its own already uses the second core, and
-splitting on top of it was slower. Four kinds of float32 op may run as two
-halves, one on each thread:
+(``count_macs``) are per thread. One worker thread takes the upper half
+of a large op beside the calling thread through ``_submit``, one job at a
+time. That happens only when the process may run on two CPUs and numpy's
+OpenBLAS runs on one thread (``OPENBLAS_NUM_THREADS=1``): an OpenBLAS with
+threads of its own already uses the second core, and splitting on top of
+it was slower. Four kinds of float32 op may run as two halves, one on each
+thread:
 
 - ``matmul`` of at least 2^25 MACs in one GEMM: output-column blocks;
 - ``attention`` of at least two heads and 2^25 MACs: head ranges;
@@ -49,10 +48,15 @@ halves, one on each thread:
 The results are bitwise those of the serial op. Each half does its op's
 whole job on its part, bias add and finiteness check included, and every
 job runs under the calling thread's grad mode, finiteness checks and numpy
-error state. An op that asks while the worker holds a job runs whole.
+error state. An op that asks while the worker's slot is held runs whole.
 Desk-scale ops stay below every size, desk attention has one head, and the
 backward ops always run serially. Importing the module starts no thread;
 the worker starts with the first job.
+
+Guided sampling takes the second core under the same rule, but in a
+process, not on the worker: ``diffusion.sample`` forks one helper that runs
+the unconditional forwards, and holds the worker's slot through the call,
+so no op splits beside the two forwards (see ``diffusion._Helper``).
 """
 
 from __future__ import annotations
@@ -183,7 +187,7 @@ def _checked_once(what: str, step, args: tuple, finite):
 
 
 # ---------------------------------------------------------------------------
-# a second core: one worker thread for whole jobs and halves of large ops
+# a second core: one worker thread for halves of large ops
 # ---------------------------------------------------------------------------
 
 # Work from which a float32 op runs as two halves on two threads. Measured on
@@ -230,14 +234,14 @@ def _blas_thread_query():
 
 
 def _second_core_free() -> bool:
-    """Whether the worker may take a job, a whole one or a large op's half:
-    the process may run on two CPUs and OpenBLAS runs on one thread. With
-    OpenBLAS on two threads, a 334x512x2048 float32 GEMM took 6.3-6.5 ms
-    whole and 6.8-7.6 ms split over two threads on top (2-core x86_64,
-    medians of 60 calls). It does not look at load: beside a test run the
-    split 334x512->2048 dense layer took 9.3-10.2 ms against 4.3 ms quiet,
-    but no serial run was measured to beat it there, and a load reading is
-    stale by the time the halves run."""
+    """Whether the worker may take a large op's half, and a guided sample
+    fork its helper: the process may run on two CPUs and OpenBLAS runs on
+    one thread. With OpenBLAS on two threads, a 334x512x2048 float32 GEMM
+    took 6.3-6.5 ms whole and 6.8-7.6 ms split over two threads on top
+    (2-core x86_64, medians of 60 calls). It does not look at load: beside
+    a test run the split 334x512->2048 dense layer took 9.3-10.2 ms against
+    4.3 ms quiet, but no serial run was measured to beat it there, and a
+    load reading is stale by the time the halves run."""
     if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
         return False
     query = _blas_thread_query()
@@ -269,11 +273,13 @@ def _split_worker():
 
 def _submit(fn):
     """Start ``fn()`` on the worker thread and return ``join``, or return
-    None, and start nothing, unless a second core is free and the worker
-    holds no job; the caller then runs its serial form. The worker's one
-    slot is taken without waiting and freed by ``join``, and every job the
-    worker runs holds it, so work submitted from inside a job, whether on
-    the worker or on the thread that will join it, runs on its own thread.
+    None, and start nothing, unless a second core is free and the worker's
+    slot is free; the caller then runs its serial form. ``_by_halves`` is
+    the one caller. The slot is taken without waiting and freed by
+    ``join``, and every job the worker runs holds it, so work submitted
+    from inside a job, whether on the worker or on the thread that will
+    join it, runs on its own thread. A guided ``diffusion.sample`` call that
+    forks its helper holds the slot too, so no op splits during it.
 
     ``fn`` runs under the calling thread's grad mode, finiteness checks and
     numpy error state. ``join()`` waits for ``fn``, adds the MACs it counted

@@ -1,5 +1,7 @@
 """Shared test oracles: central finite differences and gradient comparison,
-and switches for the worker thread."""
+switches for the worker thread and a count of forked processes."""
+
+import os
 
 import numpy as np
 
@@ -74,3 +76,19 @@ def force_split(monkeypatch, on):
     asked = []
     monkeypatch.setattr(T, "_second_core_free", lambda: asked.append(1) or on)
     return asked
+
+
+def count_forks(monkeypatch) -> list[int]:
+    """Count ``os.fork`` calls; the returned list grows by each child's pid,
+    in the parent."""
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids

@@ -1,7 +1,7 @@
 """Fresh interpreters: importing lmlp starts no thread, a float32 run never
-loads scipy.special (float64 GELU loads it when first called), and large ops
-split, and guided sampling runs its two forwards, over two threads only when
-OpenBLAS runs on one."""
+loads scipy.special (float64 GELU loads it when first called), large ops
+split over two threads, and guided sampling forks a helper process for its
+unconditional forwards, only when OpenBLAS runs on one thread."""
 
 import os
 import subprocess
@@ -97,8 +97,8 @@ def test_large_ops_split_only_with_single_threaded_blas(blas_threads, splits):
     assert attention_split == splits
 
 
-# Whether a guided desk sample (F2, 30 captions, 3 steps) started the worker
-# thread, and the SHA-256 of the images.
+# How many processes a guided desk sample (F2, 30 captions, 3 steps) forked,
+# whether one is left, and the SHA-256 of the images.
 GUIDED_PROBE = """
 import hashlib, os
 import numpy as np
@@ -109,23 +109,31 @@ from lmlp.diffusion import SamplerConfig, sample
 config = RunConfig()
 model = build_model(config.backbone_config(), 1, dtype=np.float32)
 ids = np.arange(30 * 4).reshape(30, 4) % (dataset.VOCAB_SIZE - 1) + 1
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(1) or fork()
 out = sample(model, ids, config.noise_schedule(), SamplerConfig(3), 1.0, 1).data
+try:
+    left = os.waitpid(-1, os.WNOHANG) is not None
+except ChildProcessError:
+    left = False
 print(T._blas_thread_query() is not None, len(os.sched_getaffinity(0)) >= 2,
-      T._worker is not None, hashlib.sha256(out.tobytes()).hexdigest())
+      len(forks), left, hashlib.sha256(out.tobytes()).hexdigest())
 """
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs sched_getaffinity")
-def test_guided_sample_uses_the_worker_only_with_single_threaded_blas():
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or not hasattr(os, "fork"),
+                    reason="needs sched_getaffinity and fork")
+def test_guided_sample_forks_its_helper_only_with_single_threaded_blas():
     """The unforced path: with OpenBLAS on one thread the unconditional
-    forwards run on the worker, and the images are those of a run with
-    OpenBLAS on two threads, which runs both forwards on the calling thread."""
+    forwards run in one forked helper process, reaped before ``sample``
+    returns, and the images are those of a run with OpenBLAS on two threads,
+    which runs both forwards in one process and forks nothing."""
     runs = {threads: run_python(GUIDED_PROBE, OPENBLAS_NUM_THREADS=threads)[0].split()
             for threads in ("1", "2")}
-    query_found, two_cpus, _, _ = runs["1"]
+    query_found, two_cpus = runs["1"][:2]
     if query_found == "False":
         pytest.skip("numpy's OpenBLAS exports no thread-count query")
     if two_cpus == "False":
         pytest.skip("fewer than two CPUs")
-    assert runs["1"][2] == "True" and runs["2"][2] == "False"
-    assert runs["1"][3] == runs["2"][3]
+    assert runs["1"][2:4] == ["1", "False"] and runs["2"][2:4] == ["0", "False"]
+    assert runs["1"][4] == runs["2"][4]

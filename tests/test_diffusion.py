@@ -1,10 +1,14 @@
+import os
+import select
+import signal
 import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import check_gradients, count_isfinite, force_split
+from helpers import check_gradients, count_forks, count_isfinite, force_split
 from lmlp import dataset, diffusion, tensor as T
 from lmlp.backbone import BackboneConfig, build_model
 from lmlp.config import RunConfig
@@ -367,20 +371,26 @@ class TestSampler:
     def test_guided_desk_step_checks_finiteness_once(self, sched, monkeypatch):
         """A guided step at desk scale (F2, L=21, D=64, 30 captions) checks
         the new state, not each op's result: np.isfinite, which every
-        full-array check calls, runs once per step, where the per-op checks
-        ran it 154 times."""
+        full-array check calls, runs once per step in this process, where
+        the per-op checks ran it 154 times. That holds serially and with the
+        unconditional forward in the helper process."""
         model = build_model(RunConfig().backbone_config(), 35, dtype=np.float32)
         calls, stamps = count_isfinite(monkeypatch), []
+        denoise, forks = diffusion._denoise, count_forks(monkeypatch)
 
         def stamped(*args):
             stamps.append(calls[0])
-            return cfg_eps(*args)
+            return denoise(*args)
 
-        monkeypatch.setattr(diffusion, "cfg_eps", stamped)
+        monkeypatch.setattr(diffusion, "_denoise", stamped)
         ids = np.arange(30 * 4).reshape(30, 4) % 8
-        sample(model, ids, sched, SamplerConfig(5), 1.0, 0)
-        per_step = np.diff(stamps)
-        assert (per_step == per_step[0]).all() and per_step[0] <= 1, per_step
+        for helper in (False, True):
+            force_split(monkeypatch, helper)
+            stamps.clear()
+            sample(model, ids, sched, SamplerConfig(5), 1.0, 0)
+            per_step = np.diff(stamps)
+            assert (per_step == per_step[0]).all() and per_step[0] <= 1, per_step
+        assert len(forks) == hasattr(os, "fork")
 
 
 def desk_captions(count=30):
@@ -388,54 +398,89 @@ def desk_captions(count=30):
     return np.arange(count * 4).reshape(count, 4) % (dataset.VOCAB_SIZE - 1) + 1
 
 
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+SECOND_CORE_FREE = T._second_core_free  # the unpatched rule
+
+
+def no_child_left():
+    """Whether this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def poison(model, caption_row=None, null_row=None):
+    """Overwrite the embedding rows of the first desk caption's first token
+    and of the null token."""
+    table = model.text_embed.table.data
+    if caption_row is not None:
+        table[desk_captions()[0, 0]] = caption_row
+    if null_row is not None:
+        table[dataset.NULL_ID] = null_row
+
+
+@needs_fork
 class TestTwoCoreGuidance:
-    """With the worker free, a guided step runs its unconditional forward
-    there, beside the conditional one, and changes no result."""
+    """With a second core free, a guided sample forks one helper process
+    that runs the unconditional forwards beside the conditional ones, and
+    changes no result; otherwise it runs serially and forks nothing."""
 
     @staticmethod
-    def guided(model, sched, steps=3):
+    def guided(model, sched, steps=3, omega=1.0):
         """A guided desk sample of 30 captions and the MACs it counted."""
         with T.count_macs() as counter:
-            out = sample(model, desk_captions(), sched, SamplerConfig(steps), 1.0, 0)
+            out = sample(model, desk_captions(), sched, SamplerConfig(steps), omega, 0)
         return out.data, counter.total
 
     @pytest.mark.parametrize("preset", ["F2", "A3", "TRANSFORMER"])
     def test_guided_desk_sample_is_bitwise_the_serial_one(self, sched, monkeypatch, preset):
         model = build_model(RunConfig(preset=preset).backbone_config(), 36,
                             dtype=np.float32)
+        forks = count_forks(monkeypatch)
         force_split(monkeypatch, False)
         serial, serial_macs = self.guided(model, sched)
+        assert forks == []
         asked = force_split(monkeypatch, True)
         both, macs = self.guided(model, sched)
-        assert len(asked) == 3
+        assert len(asked) == len(forks) == 1
         assert np.array_equal(both, serial)
         assert macs == serial_macs
+        assert no_child_left()
 
-    def test_ops_that_ask_inside_either_forward_run_whole(self, sched, monkeypatch):
+    def test_ops_that_ask_inside_either_forward_run_whole(self, sched, monkeypatch,
+                                                          tmp_path):
         """With every float32 op large enough to split, a guided sample
-        neither deadlocks nor nests a split: each step hands the worker its
-        unconditional forward and nothing else."""
+        neither deadlocks nor splits an op, in this process or in its
+        helper: the call holds the worker slot here, and the helper its own.
+        Each ``_submit`` call, in either process, appends its pid and
+        whether it handed work over to a log file."""
         monkeypatch.setattr(T, "_SPLIT_MIN_MACS", 1)
         monkeypatch.setattr(T, "_SPLIT_MIN_ELEMENTS", 1)
         model = build_model(RunConfig(preset="A3").backbone_config(), 37, dtype=np.float32)
         force_split(monkeypatch, False)
         serial = self.guided(model, sched)
-        asked = force_split(monkeypatch, True)
-        submit, handed, results = T._submit, [], []
+        force_split(monkeypatch, True)
+        forks, submit, log = count_forks(monkeypatch), T._submit, tmp_path / "submits"
 
-        def counted(fn):
+        def logged(fn):
             join = submit(fn)
-            handed.append(join is not None)
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()} {join is not None}\n")
             return join
 
-        monkeypatch.setattr(T, "_submit", counted)
+        monkeypatch.setattr(T, "_submit", logged)
+        results = []
         thread = threading.Thread(target=lambda: results.append(self.guided(model, sched)),
                                   daemon=True)
         thread.start()
         thread.join(120)
-        assert not thread.is_alive(), "the two-core guided sample hung"
+        assert not thread.is_alive(), "the guided sample hung"
         (both, macs), = results
-        assert handed.count(True) == 3 and len(asked) > 3
+        entries = [line.split() for line in log.read_text().splitlines()]
+        by_pid = {pid: {handed for p, handed in entries if p == pid} for pid, _ in entries}
+        assert by_pid == {str(os.getpid()): {"False"}, str(forks[0]): {"False"}}
         assert np.array_equal(both, serial[0])
         assert macs == serial[1]
 
@@ -445,28 +490,27 @@ class TestTwoCoreGuidance:
     ], ids=["caption", "null", "caption_then_earlier_null"])
     def test_poisoned_embedding_row_raises_the_serial_error(self, sched, monkeypatch,
                                                             caption_row, null_row):
-        """The replayed step names the same op as the serial one. In the last
-        case the worker's forward fails first in time, at the null row's
-        lookup, but the conditional forward's error is the one raised."""
+        """The helper runs unchecked, as the step does; the replayed step
+        runs both forwards here, checked, and names the same op as the
+        serial one. In the last case the helper's forward meets the bad row
+        too, but the conditional forward's error is the one raised."""
         model = build_model(RunConfig().backbone_config(), 38, dtype=np.float32)
-        table = model.text_embed.table.data
-        if caption_row is not None:
-            table[desk_captions()[0, 0]] = caption_row
-        if null_row is not None:
-            table[dataset.NULL_ID] = null_row
+        poison(model, caption_row, null_row)
 
         def raised():
             with pytest.raises(T.NonFiniteError) as info:
                 self.guided(model, sched)
             return str(info.value), str(info.value.__cause__)
 
+        forks = count_forks(monkeypatch)
         force_split(monkeypatch, False)
         serial = raised()
         asked = force_split(monkeypatch, True)
         assert raised() == serial == (
             "sampling step 0 (t=999): add produced a non-finite value",
             "add produced a non-finite value")
-        assert len(asked) == 2  # the unchecked step and its replay
+        assert len(asked) == len(forks) == 1
+        assert no_child_left()
 
     def test_recorded_cfg_eps_runs_serially(self, monkeypatch):
         model = build_model(RunConfig().backbone_config(), 39, dtype=np.float32)
@@ -484,8 +528,133 @@ class TestTwoCoreGuidance:
         force_split(monkeypatch, False)
         serial = grads()
         force_split(monkeypatch, True)
-        submitted = []
+        submitted, forks = [], count_forks(monkeypatch)
         monkeypatch.setattr(T, "_submit", lambda fn: submitted.append(fn))
         recorded = grads()
-        assert submitted == []
+        assert submitted == [] and forks == []
         assert all(np.array_equal(a, b) for a, b in zip(recorded, serial))
+
+    @pytest.mark.parametrize("case", ["no_free_core", "one_cpu", "no_fork", "omega_zero",
+                                      "slot_held"])
+    def test_serial_fallback_forks_nothing(self, sched, monkeypatch, case):
+        model = build_model(RunConfig().backbone_config(), 41, dtype=np.float32)
+        omega = 0.0 if case == "omega_zero" else 1.0
+        force_split(monkeypatch, False)
+        serial = self.guided(model, sched, omega=omega)
+        if case == "one_cpu":
+            monkeypatch.setattr(T, "_second_core_free", SECOND_CORE_FREE)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        else:
+            force_split(monkeypatch, case != "no_free_core")
+        forks = count_forks(monkeypatch)
+        if case == "no_fork":
+            monkeypatch.delattr(os, "fork")
+        slot = T._worker_slot
+        if case == "slot_held":
+            slot.acquire()
+        try:
+            out = self.guided(model, sched, omega=omega)
+        finally:
+            if case == "slot_held":
+                slot.release()
+        assert forks == []
+        assert np.array_equal(out[0], serial[0]) and out[1] == serial[1]
+
+    @pytest.mark.parametrize("failure", ["killed", "raises"])
+    def test_a_failed_helper_leaves_the_serial_result(self, sched, monkeypatch, failure):
+        """A helper killed, or one whose forward raises, in step 1 is
+        dropped; this process runs that unconditional forward and every
+        later one itself."""
+        model = build_model(RunConfig().backbone_config(), 42, dtype=np.float32)
+        force_split(monkeypatch, False)
+        serial = self.guided(model, sched)
+        force_split(monkeypatch, True)
+        forks, forward, parent, conditional = (count_forks(monkeypatch), model.forward,
+                                               os.getpid(), [])
+
+        def failing(x_t, text_ids, t):
+            if os.getpid() == parent and (text_ids != dataset.NULL_ID).any():
+                conditional.append(1)
+                if len(conditional) == 2 and failure == "killed":
+                    os.kill(forks[0], signal.SIGKILL)
+            elif os.getpid() != parent and failure == "raises" and t[0] < 999:
+                raise RuntimeError("the helper's forward failed")
+            return forward(x_t, text_ids, t)
+
+        monkeypatch.setattr(model, "forward", failing)
+        out = self.guided(model, sched)
+        assert len(forks) == 1 and len(conditional) == 3
+        assert np.array_equal(out[0], serial[0]) and out[1] == serial[1]
+        assert no_child_left()
+
+    @pytest.mark.parametrize("case", ["normal", "poisoned", "interrupted"])
+    def test_no_process_outlives_sample(self, sched, monkeypatch, case):
+        """The helper is reaped when the call returns, when the step's
+        replay raises, and when an error in this process's conditional
+        forward cuts a step short while the helper runs its forward."""
+        model = build_model(RunConfig().backbone_config(), 43, dtype=np.float32)
+        force_split(monkeypatch, True)
+        forks, forward, conditional = count_forks(monkeypatch), model.forward, []
+        if case == "poisoned":
+            poison(model, caption_row=3e38)
+
+        def interrupted(x_t, text_ids, t):
+            if (text_ids != dataset.NULL_ID).any():
+                conditional.append(1)
+                if len(conditional) == 2:
+                    raise RuntimeError("interrupted")
+            return forward(x_t, text_ids, t)
+
+        if case == "interrupted":
+            monkeypatch.setattr(model, "forward", interrupted)
+        error = {"normal": None, "poisoned": T.NonFiniteError,
+                 "interrupted": RuntimeError}[case]
+        if error is None:
+            self.guided(model, sched)
+        else:
+            with pytest.raises(error):
+                self.guided(model, sched)
+        assert len(forks) == 1
+        assert no_child_left()
+
+    def test_helper_ends_when_its_parent_is_killed(self, sched, monkeypatch):
+        """A process killed mid-way through a guided sample leaves no helper
+        behind: the helper closes its copy of the parent's pipe end, so it
+        reads EOF and exits. Both processes inherit the write end of a
+        probe pipe, which reads EOF once both have exited."""
+        model = build_model(RunConfig().backbone_config(), 44, dtype=np.float32)
+        force_split(monkeypatch, True)
+        started_r, started_w = os.pipe()
+        alive_r, alive_w = os.pipe()
+        fork = os.fork
+
+        def announced():
+            pid = fork()
+            if pid:
+                os.write(started_w, b"x")
+            return pid
+
+        pid = os.fork()
+        if pid == 0:
+            try:
+                os.close(started_r)
+                os.close(alive_r)
+                monkeypatch.setattr(os, "fork", announced)
+                self.guided(model, sched, steps=1000)
+            finally:
+                os._exit(1)
+        os.close(started_w)
+        os.close(alive_w)
+        try:
+            assert select.select([started_r], [], [], 60)[0], "no helper was forked"
+            assert os.read(started_r, 1) == b"x"
+            time.sleep(0.2)
+        finally:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(started_r)
+        try:
+            assert select.select([alive_r], [], [], 10)[0], "the helper outlived its parent"
+            assert os.read(alive_r, 1) == b""
+        finally:
+            os.close(alive_r)

@@ -1015,8 +1015,9 @@ class TestSplit:
     def test_desk_training_and_sampling_steps_never_split(self, monkeypatch, preset):
         """At the desk defaults (B=32, L=21, D=64, float32) no op of a training
         step, forward and backward, or of a guided sampler step is large
-        enough to ask for the second core. A guided sampler step asks once,
-        to run its unconditional forward on the worker."""
+        enough to ask for the second core. Without ``os.fork`` a guided
+        sample runs both forwards here, with the worker free, and asks
+        nothing."""
         from lmlp.backbone import build_model
         from lmlp.config import RunConfig
         from lmlp.diffusion import SamplerConfig, sample, training_loss
@@ -1033,8 +1034,9 @@ class TestSplit:
         assert asked == []
         submit, submitted = T._submit, []
         monkeypatch.setattr(T, "_submit", lambda fn: submitted.append(1) or submit(fn))
+        monkeypatch.delattr(os, "fork", raising=False)
         sample(model, ids, sched, SamplerConfig(num_steps=3), config.guidance_scale, 0)
-        assert len(asked) == len(submitted) == 3  # cfg_eps's asks only, one a step
+        assert asked == [] and submitted == []
 
     @staticmethod
     def in_forked_child(child):
