@@ -165,15 +165,16 @@ class _Helper:
     reads back eps(uncond) and the MACs the child counted, which it adds to
     its own open ``count_macs`` counters. The child runs each forward under
     ``no_grad`` with the per-op checks off, as the parent's unchecked step
-    does. It holds its own worker slot, so no op splits there, and it ends
+    does. It holds its own second core, so no op splits there, and it ends
     with ``os._exit`` when the parent's end of the pipe closes. Both
     forwards run the same ops on the same bits as serially, so the result
     is bitwise the serial one.
 
     A child that fails or dies is dropped: its forward, and every later
     one, runs in the parent, so the call returns the serial result or
-    raises the serial error. The fork is safe for lmlp's own worker thread,
-    which is idle while the call holds its slot.
+    raises the serial error; a fork that fails runs the call serially. The
+    fork is safe for lmlp's own worker thread, which is idle while the call
+    holds the second core (``tensor._second_core``).
     """
 
     def __init__(self, model, text_ids: np.ndarray):
@@ -223,8 +224,7 @@ def _serve(conn, model, null_ids: np.ndarray) -> None:
     child without a reply."""
     code = 1
     try:
-        T._worker_slot.acquire()
-        with T.no_grad(), T._unchecked():
+        with T._second_core(), T.no_grad(), T._unchecked():
             while True:
                 try:
                     state, t = conn.recv()
@@ -241,23 +241,23 @@ def _serve(conn, model, null_ids: np.ndarray) -> None:
 @contextmanager
 def _helper_for(model, text_ids: np.ndarray, omega: float):
     """A ``_Helper`` for one guided ``sample`` call, or None. It runs when
-    omega != 0, ``os.fork`` exists, ``tensor._second_core_free()`` holds and
-    the worker's slot is free. The slot is then held through the call, so no
-    op splits beside the two forwards, and the child is reaped on the way
-    out, also on an error."""
-    slot = T._worker_slot
-    if (omega == 0 or not hasattr(os, "fork") or not T._second_core_free()
-            or not slot.acquire(blocking=False)):
-        yield None
-        return
-    try:
-        helper = _Helper(model, text_ids)
-        try:
-            yield helper
-        finally:
-            helper.close()
-    finally:
-        slot.release()
+    omega != 0, ``os.fork`` exists and the call gets the second core
+    (``tensor._second_core``), which it then holds through the call, so no
+    op splits beside the two forwards. The child is reaped on the way out,
+    also on an error. A failed fork frees the core and yields None."""
+    if omega != 0 and hasattr(os, "fork"):
+        with T._second_core() as held:
+            try:
+                helper = _Helper(model, text_ids) if held else None
+            except OSError:
+                helper = None
+            if helper is not None:
+                try:
+                    yield helper
+                finally:
+                    helper.close()
+                return
+    yield None
 
 
 def _denoise(model, state: Tensor, text_ids: np.ndarray, t: np.ndarray, omega: float,

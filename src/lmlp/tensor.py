@@ -31,13 +31,15 @@ value is read by some vjp, where 0 * inf = NaN, but the tokens that
 ``narrow`` drops before the sampler's head are such a value.
 
 Grad mode (``no_grad``), the finiteness checks and MAC counters
-(``count_macs``) are per thread. One worker thread takes the upper half
-of a large op beside the calling thread through ``_submit``, one job at a
-time. That happens only when the process may run on two CPUs and numpy's
-OpenBLAS runs on one thread (``OPENBLAS_NUM_THREADS=1``): an OpenBLAS with
+(``count_macs``) are per thread. The second core has one holder at a
+time: ``_second_core()`` gives it, without waiting, to a caller that asks
+while no one holds it, the process may run on two CPUs and numpy's
+OpenBLAS runs on one thread (``OPENBLAS_NUM_THREADS=1``). An OpenBLAS with
 threads of its own already uses the second core, and splitting on top of
-it was slower. Four kinds of float32 op may run as two halves, one on each
-thread:
+it was slower. The holder is one large float32 op, which runs its upper
+half on the one worker thread, or one guided ``diffusion.sample`` call,
+which forks a helper process for its unconditional forwards (see
+``diffusion._Helper``). Four kinds of float32 op may run as two halves:
 
 - ``matmul`` of at least 2^25 MACs in one GEMM: output-column blocks;
 - ``attention`` of at least two heads and 2^25 MACs: head ranges;
@@ -46,17 +48,14 @@ thread:
   blocks, cut on a multiple of 16 rows.
 
 The results are bitwise those of the serial op. Each half does its op's
-whole job on its part, bias add and finiteness check included, and every
-job runs under the calling thread's grad mode, finiteness checks and numpy
-error state. An op that asks while the worker's slot is held runs whole.
-Desk-scale ops stay below every size, desk attention has one head, and the
-backward ops always run serially. Importing the module starts no thread;
-the worker starts with the first job.
-
-Guided sampling takes the second core under the same rule, but in a
-process, not on the worker: ``diffusion.sample`` forks one helper that runs
-the unconditional forwards, and holds the worker's slot through the call,
-so no op splits beside the two forwards (see ``diffusion._Helper``).
+whole job on its part, bias add and finiteness check included. The
+worker's half takes the calling thread's finiteness checks and nothing
+else: the caller counts the op's MACs and records its node. An op that
+asks while the second core is held, such as one inside either forward of
+a guided step, runs whole. Desk-scale ops stay below every size, desk
+attention has one head, and the backward ops always run serially.
+Importing the module starts no thread; the worker starts with the first
+split.
 """
 
 from __future__ import annotations
@@ -67,7 +66,7 @@ import itertools
 import math
 import os
 import threading
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -187,7 +186,7 @@ def _checked_once(what: str, step, args: tuple, finite):
 
 
 # ---------------------------------------------------------------------------
-# a second core: one worker thread for halves of large ops
+# the second core: one holder at a time, and a worker thread for op halves
 # ---------------------------------------------------------------------------
 
 # Work from which a float32 op runs as two halves on two threads. Measured on
@@ -234,14 +233,14 @@ def _blas_thread_query():
 
 
 def _second_core_free() -> bool:
-    """Whether the worker may take a large op's half, and a guided sample
-    fork its helper: the process may run on two CPUs and OpenBLAS runs on
-    one thread. With OpenBLAS on two threads, a 334x512x2048 float32 GEMM
-    took 6.3-6.5 ms whole and 6.8-7.6 ms split over two threads on top
-    (2-core x86_64, medians of 60 calls). It does not look at load: beside
-    a test run the split 334x512->2048 dense layer took 9.3-10.2 ms against
-    4.3 ms quiet, but no serial run was measured to beat it there, and a
-    load reading is stale by the time the halves run."""
+    """Whether the process may use a second core (``_second_core``): it
+    may run on two CPUs and OpenBLAS runs on one thread. With OpenBLAS on
+    two threads, a 334x512x2048 float32 GEMM took 6.3-6.5 ms whole and
+    6.8-7.6 ms split over two threads on top (2-core x86_64, medians of 60
+    calls). It does not look at load: beside a test run the split
+    334x512->2048 dense layer took 9.3-10.2 ms against 4.3 ms quiet, but no
+    serial run was measured to beat it there, and a load reading is stale
+    by the time the halves run."""
     if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
         return False
     query = _blas_thread_query()
@@ -249,10 +248,10 @@ def _second_core_free() -> bool:
 
 
 def _forget_worker() -> None:
-    """Drop the worker thread and free its slot; a forked child has none of
-    its parent's threads."""
-    global _worker, _worker_lock, _worker_slot
-    _worker, _worker_lock, _worker_slot = None, threading.Lock(), threading.Lock()
+    """Drop the worker thread and free the second core; a forked child has
+    none of its parent's threads."""
+    global _worker, _worker_slot
+    _worker, _worker_slot = None, threading.Lock()
 
 
 _forget_worker()
@@ -260,88 +259,56 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_worker)
 
 
-def _split_worker():
-    """The one worker thread, started on first use."""
-    global _worker
-    with _worker_lock:
-        if _worker is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _worker = ThreadPoolExecutor(1, thread_name_prefix="lmlp-split")
-        return _worker
-
-
-def _submit(fn):
-    """Start ``fn()`` on the worker thread and return ``join``, or return
-    None, and start nothing, unless a second core is free and the worker's
-    slot is free; the caller then runs its serial form. ``_by_halves`` is
-    the one caller. The slot is taken without waiting and freed by
-    ``join``, and every job the worker runs holds it, so work submitted
-    from inside a job, whether on the worker or on the thread that will
-    join it, runs on its own thread. A guided ``diffusion.sample`` call that
-    forks its helper holds the slot too, so no op splits during it.
-
-    ``fn`` runs under the calling thread's grad mode, finiteness checks and
-    numpy error state. ``join()`` waits for ``fn``, adds the MACs it counted
-    to the calling thread's open ``count_macs`` counters and returns its
-    result or raises its error. Call it exactly once, through
-    ``_join_after``, also when the caller's own work raised. No job may
-    record a graph node: recording order is execution order."""
-    if not _second_core_free() or not _worker_slot.acquire(blocking=False):
-        return None
-    grad_enabled, checks, errors = _STATE.grad_enabled, _STATE.checks, np.geterr()
-
-    def job():
-        _STATE.grad_enabled, _STATE.checks = grad_enabled, checks
-        with np.errstate(**errors), count_macs() as counter:
-            return fn(), counter.total
-
+@contextmanager
+def _second_core():
+    """Yield True while the caller holds the second core, False if it does
+    not: it holds it when ``_second_core_free()`` holds and no one else
+    does; it never waits. Only the holder starts work on the worker thread
+    or forks a sampling helper, so a large op inside the block runs whole."""
+    held = _second_core_free() and _worker_slot.acquire(blocking=False)
     try:
-        future = _split_worker().submit(job)
-    except BaseException:
-        _worker_slot.release()
-        raise
-
-    def join():
-        try:
-            result, macs = future.result()
-        finally:
+        yield held
+    finally:
+        if held:
             _worker_slot.release()
-        _note_macs(macs)
-        return result
-
-    return join
-
-
-def _join_after(here, join):
-    """``(here(), join())``. ``join`` runs also when ``here`` raises, and
-    then ``here``'s error wins, as it would when run first serially."""
-    try:
-        mine = here()
-    except BaseException:
-        with suppress(BaseException):
-            join()
-        raise
-    return mine, join()
 
 
 def _by_halves(fn, n: int, dtype, large: bool, align: int = 1) -> None:
     """Run ``fn(0, n)`` with numpy's floating-point errors ignored; ``fn``
-    checks what it writes. A float32 op that its caller marks large, when
-    ``_submit`` takes work, runs ``fn(half, n)`` on the worker thread and
+    checks what it writes. A float32 op that its caller marks large, when it
+    gets the second core, runs ``fn(half, n)`` on the worker thread and
     ``fn(0, half)`` here, where ``half`` is ``n // 2`` rounded down to a
-    multiple of ``align``, and returns once both halves have finished."""
+    multiple of ``align``. It returns once both halves have finished, and
+    raises this thread's error before the worker's. The worker takes only
+    the caller's finiteness checks: no half counts MACs or records a node."""
+    global _worker
 
     def part(lo, hi):
         with np.errstate(all="ignore"):
             fn(lo, hi)
 
-    half = n // 2 // align * align
-    join = _submit(lambda: part(half, n)) if dtype == np.float32 and large else None
-    if join is None:
-        part(0, n)
-    else:
-        _join_after(lambda: part(0, half), join)
+    if dtype != np.float32 or not large:
+        return part(0, n)
+    with _second_core() as held:
+        if not held:
+            return part(0, n)
+        if _worker is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _worker = ThreadPoolExecutor(1, thread_name_prefix="lmlp-split")
+        half, checks = n // 2 // align * align, _STATE.checks
+
+        def upper():
+            _STATE.checks = checks
+            part(half, n)
+
+        future = _worker.submit(upper)
+        try:
+            part(0, half)
+        finally:
+            error = future.exception()  # wait for it even when part raised
+        if error is not None:
+            raise error
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
+import errno
 import os
 import select
 import signal
 import threading
 import time
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -453,24 +455,25 @@ class TestTwoCoreGuidance:
                                                           tmp_path):
         """With every float32 op large enough to split, a guided sample
         neither deadlocks nor splits an op, in this process or in its
-        helper: the call holds the worker slot here, and the helper its own.
-        Each ``_submit`` call, in either process, appends its pid and
-        whether it handed work over to a log file."""
+        helper: the call holds the second core here, and the helper its own.
+        Each ``_second_core`` entry, in either process, appends its pid and
+        whether it got the core to a log file."""
         monkeypatch.setattr(T, "_SPLIT_MIN_MACS", 1)
         monkeypatch.setattr(T, "_SPLIT_MIN_ELEMENTS", 1)
         model = build_model(RunConfig(preset="A3").backbone_config(), 37, dtype=np.float32)
         force_split(monkeypatch, False)
         serial = self.guided(model, sched)
         force_split(monkeypatch, True)
-        forks, submit, log = count_forks(monkeypatch), T._submit, tmp_path / "submits"
+        forks, second_core, log = count_forks(monkeypatch), T._second_core, tmp_path / "asks"
 
-        def logged(fn):
-            join = submit(fn)
-            with open(log, "a") as out:
-                out.write(f"{os.getpid()} {join is not None}\n")
-            return join
+        @contextmanager
+        def logged():
+            with second_core() as held:
+                with open(log, "a") as out:
+                    out.write(f"{os.getpid()} {held}\n")
+                yield held
 
-        monkeypatch.setattr(T, "_submit", logged)
+        monkeypatch.setattr(T, "_second_core", logged)
         results = []
         thread = threading.Thread(target=lambda: results.append(self.guided(model, sched)),
                                   daemon=True)
@@ -479,8 +482,11 @@ class TestTwoCoreGuidance:
         assert not thread.is_alive(), "the guided sample hung"
         (both, macs), = results
         entries = [line.split() for line in log.read_text().splitlines()]
-        by_pid = {pid: {handed for p, handed in entries if p == pid} for pid, _ in entries}
-        assert by_pid == {str(os.getpid()): {"False"}, str(forks[0]): {"False"}}
+        by_pid = {pid: [held for p, held in entries if p == pid] for pid, _ in entries}
+        assert set(by_pid) == {str(os.getpid()), str(forks[0])}
+        # the sample, and the helper, take the core first; every op then asks in vain
+        for held in by_pid.values():
+            assert held[0] == "True" and len(held) > 1 and set(held[1:]) == {"False"}
         assert np.array_equal(both, serial[0])
         assert macs == serial[1]
 
@@ -527,11 +533,9 @@ class TestTwoCoreGuidance:
 
         force_split(monkeypatch, False)
         serial = grads()
-        force_split(monkeypatch, True)
-        submitted, forks = [], count_forks(monkeypatch)
-        monkeypatch.setattr(T, "_submit", lambda fn: submitted.append(fn))
+        asked, forks = force_split(monkeypatch, True), count_forks(monkeypatch)
         recorded = grads()
-        assert submitted == [] and forks == []
+        assert asked == [] and forks == []
         assert all(np.array_equal(a, b) for a, b in zip(recorded, serial))
 
     @pytest.mark.parametrize("case", ["no_free_core", "one_cpu", "no_fork", "omega_zero",
@@ -559,6 +563,32 @@ class TestTwoCoreGuidance:
                 slot.release()
         assert forks == []
         assert np.array_equal(out[0], serial[0]) and out[1] == serial[1]
+
+    def test_a_failed_fork_runs_serially_and_frees_the_second_core(self, sched,
+                                                                   monkeypatch):
+        """A guided call whose ``os.fork`` fails returns the serial images
+        and MACs, leaves no child, and frees the second core: the next large
+        float32 op splits again, checking its halves on two threads."""
+        model = build_model(RunConfig().backbone_config(), 45, dtype=np.float32)
+        force_split(monkeypatch, False)
+        serial = self.guided(model, sched)
+        force_split(monkeypatch, True)
+        tried = []
+
+        def failing_fork():
+            tried.append(1)
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        out = self.guided(model, sched)
+        assert tried == [1]
+        assert np.array_equal(out[0], serial[0]) and out[1] == serial[1]
+        assert no_child_left()
+        checked_on, check = set(), T._check_finite
+        monkeypatch.setattr(T, "_check_finite", lambda arr, op: (
+            checked_on.add(threading.get_ident()) or check(arr, op)))
+        T.gelu(Tensor(np.ones(T._SPLIT_MIN_ELEMENTS, np.float32)))
+        assert len(checked_on) == 2
 
     @pytest.mark.parametrize("failure", ["killed", "raises"])
     def test_a_failed_helper_leaves_the_serial_result(self, sched, monkeypatch, failure):

@@ -1032,11 +1032,9 @@ class TestSplit:
         asked = force_split(monkeypatch, True)
         training_loss(model, x0, ids, sched, config.caption_keep_prob, rng).backward()
         assert asked == []
-        submit, submitted = T._submit, []
-        monkeypatch.setattr(T, "_submit", lambda fn: submitted.append(1) or submit(fn))
         monkeypatch.delattr(os, "fork", raising=False)
         sample(model, ids, sched, SamplerConfig(num_steps=3), config.guidance_scale, 0)
-        assert asked == [] and submitted == []
+        assert asked == []
 
     @staticmethod
     def in_forked_child(child):
@@ -1065,68 +1063,94 @@ class TestSplit:
         T.gelu(x)                                    # the parent's worker now runs
         self.in_forked_child(lambda: T.gelu(x))
 
+    @staticmethod
+    def halves(n=4096, wait=None):
+        """A ``_by_halves`` body over ``n`` elements, and the log it appends
+        (thread id, lo, hi) to as each part starts; a part that starts at
+        ``wait`` first waits on the returned event."""
+        log, release = [], threading.Event()
+
+        def fn(lo, hi):
+            log.append((threading.get_ident(), lo, hi))
+            if lo == wait:
+                release.wait(30)
+
+        return fn, log, release
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_submits_while_the_parents_worker_holds_a_job(self, monkeypatch):
+    def test_forked_child_splits_while_the_parents_worker_is_busy(self, monkeypatch):
         force_split(monkeypatch, True)
-        release = threading.Event()
-        join = T._submit(lambda: release.wait(30))
+        fn, log, release = self.halves(wait=2048)
+        busy = threading.Thread(target=T._by_halves, args=(fn, 4096, np.float32, True))
+        busy.start()
+        deadline = time.monotonic() + 30
+        while len(log) < 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
 
         def child():
-            child_join = T._submit(lambda: 7)
-            assert child_join is not None and child_join() == 7
+            child_fn, child_log, _ = self.halves()
+            T._by_halves(child_fn, 4096, np.float32, True)
+            assert sorted(lo for _, lo, _ in child_log) == [0, 2048]
+            assert len({ident for ident, _, _ in child_log}) == 2
 
         try:
+            assert len(log) == 2  # both halves of the parent's split have started
             self.in_forked_child(child)
         finally:
             release.set()
-            assert join() is True
+            busy.join(30)
+        assert not busy.is_alive()
 
-    def test_submit_starts_nothing_without_a_free_core(self, monkeypatch):
+    def test_no_free_core_starts_no_thread(self, monkeypatch):
         asked = force_split(monkeypatch, False)
-        ran = []
-        assert T._submit(lambda: ran.append(1)) is None
-        assert asked == [1] and ran == []
+        monkeypatch.setattr(T, "_worker", None)
+        fn, log, _ = self.halves()
+        T._by_halves(fn, 4096, np.float32, True)
+        assert asked == [1] and T._worker is None
+        assert log == [(threading.get_ident(), 0, 4096)]
 
-    def test_submit_takes_one_job_and_none_from_the_worker(self, monkeypatch):
-        """While the worker holds a job, neither the caller nor the job itself
-        can hand it another; joining frees the worker for the next one."""
+    def test_large_op_inside_a_holders_block_runs_whole(self, monkeypatch):
         asked = force_split(monkeypatch, True)
-        release, from_job = threading.Event(), []
+        fn, log, _ = self.halves()
+        with T._second_core() as held:
+            assert held
+            T._by_halves(fn, 4096, np.float32, True)
+        assert len(asked) == 2
+        assert log == [(threading.get_ident(), 0, 4096)]
+        with T._second_core() as held:
+            assert held  # freed on the way out
 
-        def job():
-            from_job.append(T._submit(lambda: "nested"))
-            release.wait(30)
-            return "first"
-
-        join = T._submit(job)
-        try:
-            assert T._submit(lambda: "second") is None
-        finally:
-            release.set()
-        assert join() == "first"
-        assert from_job == [None]
-        assert T._submit(lambda: "third")() == "third"
-        assert len(asked) == 4
-
-    def test_submit_from_more_threads_than_cores_hands_over_one_job_at_a_time(
+    def test_threads_splitting_at_once_get_serial_results_one_split_at_a_time(
             self, monkeypatch):
+        rng = np.random.default_rng(92)
+        inputs = [f32(rng.standard_normal(T._SPLIT_MIN_ELEMENTS) * 4) for _ in range(4)]
+        force_split(monkeypatch, False)
+        serial = [T.gelu(x).data for x in inputs]
         force_split(monkeypatch, True)
-        lock, holders, peak, handed, wrong = threading.Lock(), [0], [0], [0], []
+        by_halves, lock, running, peak, splits = T._by_halves, threading.Lock(), [0], [0], [0]
+
+        def tracked(fn, n, *args, **kwargs):
+            def counted(lo, hi):
+                lower_half = lo == 0 and hi < n  # a split's half on the calling thread
+                with lock:
+                    running[0] += lower_half
+                    peak[0] = max(peak[0], running[0])
+                    splits[0] += lo > 0
+                try:
+                    fn(lo, hi)
+                finally:
+                    with lock:
+                        running[0] -= lower_half
+
+            by_halves(counted, n, *args, **kwargs)
+
+        monkeypatch.setattr(T, "_by_halves", tracked)
+        wrong = []
 
         def caller(k):
-            for i in range(300):
-                join = T._submit(lambda: (k, i))  # joined before i moves on
-                if join is None:
-                    continue
-                with lock:
-                    holders[0] += 1
-                    peak[0] = max(peak[0], holders[0])
-                    handed[0] += 1
-                time.sleep(0)
-                with lock:
-                    holders[0] -= 1
-                if join() != (k, i):
-                    wrong.append((k, i))
+            for _ in range(20):
+                if not np.array_equal(T.gelu(inputs[k]).data, serial[k]):
+                    wrong.append(k)
 
         threads = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
         interval = sys.getswitchinterval()
@@ -1139,44 +1163,24 @@ class TestSplit:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert peak[0] == 1 and handed[0] > 0 and wrong == []
+        assert wrong == [] and peak[0] == 1 and splits[0] > 0
 
-    def test_submitted_job_runs_under_the_callers_thread_state(self, monkeypatch):
-        force_split(monkeypatch, True)
-        w, b = dense_params(2, 5, 63)
-        x, caller, seen = rand((3, 5), 64), threading.current_thread(), []
-
-        def job():
-            seen.append((threading.current_thread() is caller, T._STATE.grad_enabled,
-                         T._STATE.checks, np.geterr()))
-            return T.matmul(x, w, b, -1)
-
-        with T.count_macs() as outer:
-            with T.no_grad(), T._unchecked(), T.count_macs() as inner:
-                errors = np.geterr()
-                join = T._submit(job)
-                out = join()
-                assert inner.total == 3 * 5 * 2  # added by the join
-        assert seen == [(False, False, False, errors)]
-        assert out._node is None
-        assert outer.total == 3 * 5 * 2
-        assert T._STATE.grad_enabled and T._STATE.checks
-
-    def test_join_after_always_joins_and_the_callers_error_wins(self, monkeypatch):
+    def test_both_halves_finish_and_the_callers_error_wins(self, monkeypatch):
         force_split(monkeypatch, True)
         finished = threading.Event()
 
-        def fail(message):
-            raise T.NonFiniteError(message)
+        def both_fail(lo, hi):
+            if lo > 0:
+                time.sleep(0.2)
+                finished.set()
+            raise T.NonFiniteError("worker" if lo > 0 else "caller")
 
-        def late_failure():
-            time.sleep(0.2)
-            finished.set()
-            fail("worker")
+        def worker_fails(lo, hi):
+            if lo > 0:
+                raise T.NonFiniteError("worker")
 
         with pytest.raises(T.NonFiniteError, match="^caller$"):
-            T._join_after(lambda: fail("caller"), T._submit(late_failure))
+            T._by_halves(both_fail, 2, np.float32, True)
         assert finished.is_set()
         with pytest.raises(T.NonFiniteError, match="^worker$"):
-            T._join_after(lambda: "here", T._submit(lambda: fail("worker")))
-        assert T._join_after(lambda: "here", T._submit(lambda: "there")) == ("here", "there")
+            T._by_halves(worker_fails, 2, np.float32, True)
